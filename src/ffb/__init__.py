@@ -31,6 +31,7 @@ from .errors import (
     DivideByZero,
     FfbError,
     IntegerOverflow,
+    InvariantViolation,
     LambdaZero,
     NoNontrivialCharacter,
     NotPrime,
@@ -38,6 +39,7 @@ from .errors import (
     Overflow,
     Reducible,
     RoundingDrift,
+    UsageError,
 )
 from .field import (
     FieldSpec,

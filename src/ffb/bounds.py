@@ -19,7 +19,7 @@ import numpy as np
 
 from .characters import repfn_char_sums, shifted_product_char_sums
 from .counters import count_bilinear, count_bilinear_charform
-from .errors import LambdaZero, NoNontrivialCharacter
+from .errors import InvariantViolation, LambdaZero, NoNontrivialCharacter
 from .field import FieldSpec
 from .repfn import FqSubset, rep_sum
 
@@ -131,9 +131,7 @@ def cauchy_error_check(field: FieldSpec, a: FqSubset, b: FqSubset, c: FqSubset,
     """Assertable bound |err| <= W * sqrt(#C* * #D*) on the character route."""
     _, _, err = count_bilinear_charform(field, a, b, c, d, lam)
     w = compute_W(field, a, b, lam)
-    c_star = c.size - bool(c.membership[0])
-    d_star = d.size - bool(d.membership[0])
-    bound = w.w_or_v * math.sqrt(c_star * d_star)
+    bound = w.w_or_v * math.sqrt(c.star_size() * d.star_size())
     measured = abs(err)
     return BoundReport(
         w_or_v=measured,
@@ -156,13 +154,12 @@ def solvability_threshold_check(field: FieldSpec, a: FqSubset, b: FqSubset,
     if lam == 0:
         raise LambdaZero("solvability threshold is stated for nonzero targets")
     _, main, err = count_bilinear_charform(field, a, b, c, d, lam)
-    c_star = c.size - bool(c.membership[0])
-    d_star = d.size - bool(d.membership[0])
-    threshold = math.sqrt(field.q * a.size * b.size * c_star * d_star)
+    threshold = math.sqrt(field.q * a.size * b.size * c.star_size() * d.star_size())
     fires = main > threshold
-    if fires:
-        # guaranteed by the square-root bound; a failure here is a bug
-        assert count_bilinear(field, a, b, c, d, lam) > 0
+    if fires and count_bilinear(field, a, b, c, d, lam) == 0:
+        raise InvariantViolation(
+            f"solvability threshold fired at lam = {lam} but the exact count is 0"
+        )
     if main <= 0.0:
         delta = None
     elif err == 0.0:

@@ -9,17 +9,16 @@ nothing to any character sum.  Counting code re-adds zero contributions
 combinatorially, which is what makes its identities exact.
 
 A full table over all q-1 characters is one discrete Fourier transform of
-length M = q-1 of the summed weights laid out in dlog order.  The default
-transform is the direct O(M^2) evaluation; set_transform_override installs
-a drop-in replacement (fft_transform is a ready-made one) without any API
-change for callers.
+length M = q-1 of the summed weights laid out in dlog order, computed by
+numpy's FFT.  The tables are floats; callers that need integers (the
+character-route counters) check the rounding residual of their final
+reduction, which is where float64 precision runs out first.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -27,46 +26,10 @@ from .errors import BadExponent, BadParam
 from .field import FieldSpec, add_codes
 from .repfn import FqSubset, RepFn, rep_product
 
-_roots_cache: dict[int, np.ndarray] = {}
-
-_transform_override: Callable[[np.ndarray], np.ndarray] | None = None
-
-
-def _roots(m: int) -> np.ndarray:
-    table = _roots_cache.get(m)
-    if table is None:
-        table = np.exp(2j * np.pi * np.arange(m) / m)
-        table.flags.writeable = False
-        _roots_cache[m] = table
-    return table
-
-
-def direct_transform(v: np.ndarray) -> np.ndarray:
-    """out[j] = sum over t of v[t] * e(2*pi*i*j*t/M), direct O(M^2)."""
-    m = len(v)
-    roots = _roots(m)
-    idx = np.arange(m, dtype=np.int64)
-    out = np.empty(m, dtype=np.complex128)
-    for j in range(m):
-        out[j] = np.dot(v, roots[(j * idx) % m])
-    return out
-
-
-def fft_transform(v: np.ndarray) -> np.ndarray:
-    """Fast drop-in for direct_transform (same sign convention)."""
-    return np.fft.ifft(np.asarray(v, dtype=np.complex128)) * len(v)
-
-
-def set_transform_override(fn: Callable[[np.ndarray], np.ndarray] | None) -> None:
-    """Install fn as the transform used by every char-sum table, or reset."""
-    global _transform_override
-    _transform_override = fn
-
 
 def _transform(v: np.ndarray) -> np.ndarray:
-    if _transform_override is not None:
-        return _transform_override(v)
-    return direct_transform(v)
+    """out[j] = sum over t of v[t] * e(2*pi*i*j*t/M), one length-M FFT."""
+    return np.fft.ifft(v) * len(v)
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,15 +22,10 @@ import sys
 import time
 
 from . import bounds, counters, selfcheck, sumprod
-from .errors import FfbError, IntegerOverflow, RoundingDrift
+from .errors import FfbError, UsageError
 from .field import FieldSpec, make_field
 from .repfn import FqSubset
 from .setsgen import SetSpec, derive_seed, parse_setspec, realize
-
-USAGE_ERRORS = (
-    "NotPrime", "Reducible", "Overflow", "BadParam", "BadExponent",
-    "LambdaZero", "NotPrimeField", "NoNontrivialCharacter",
-)
 
 SET_SLOTS = {
     "count": ("a", "b", "c", "d"),
@@ -464,13 +459,10 @@ def run(argv: list[str] | None = None) -> int:
     except _Usage as exc:
         print(f"ffb: {exc}", file=sys.stderr)
         return 2
-    except (RoundingDrift, IntegerOverflow) as exc:
-        print(f"ffb: hard failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    except UsageError as exc:
+        print(f"ffb: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     except FfbError as exc:
-        if type(exc).__name__ in USAGE_ERRORS:
-            print(f"ffb: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 2
         print(f"ffb: hard failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

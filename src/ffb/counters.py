@@ -37,11 +37,6 @@ def _zero_product_pairs(c: FqSubset, d: FqSubset) -> int:
     return zc * d.size + zd * c.size - (zc and zd)
 
 
-def _star_size(s: FqSubset) -> int:
-    """Cardinality of S with the zero element removed."""
-    return s.size - bool(s.membership[0])
-
-
 def count_bilinear(field: FieldSpec, a: FqSubset, b: FqSubset, c: FqSubset,
                    d: FqSubset, lam: int) -> int:
     """#{(a,b,c,d) in A x B x C x D : a*b + c*d = lam}, exact."""
@@ -50,27 +45,27 @@ def count_bilinear(field: FieldSpec, a: FqSubset, b: FqSubset, c: FqSubset,
     return int(np.dot(r1.counts, r2.counts[sub_perm(field, lam)]))
 
 
-def count_bilinear_charform(field: FieldSpec, a: FqSubset, b: FqSubset,
-                            c: FqSubset, d: FqSubset, lam: int) -> tuple[int, float, float]:
-    """Character-route count of a*b + c*d = lam; returns (n, main, err).
+def _charform(field: FieldSpec, r: RepFn, shift: int, c: FqSubset,
+              d: FqSubset) -> tuple[int, float, float]:
+    """Character route for sum over x of r[x] * #{(y, z) in C x D : x - shift = y*z}.
 
-    Tuples with c*d = 0 force a*b = lam and are counted exactly.  For the
-    rest, a*b + c*d = lam is the same event as a*b - lam = (-c)*d with
-    both sides nonzero, which character orthogonality detects:
+    Returns (n, main, err).  Pairs with y*z = 0 force x = shift and are
+    counted exactly.  For the rest both sides are nonzero, which character
+    orthogonality detects:
 
-        n_nonzero = (1/(q-1)) * sum_j T1(j) * conj(S_{-C}(j)) * conj(S_D(j))
+        n_nonzero = (1/(q-1)) * sum_j T(j) * conj(S_C(j)) * conj(S_D(j))
 
-    with T1 the table of sums of chi_j(a*b - lam).  main is the trivial
-    character's share of n_nonzero and err = n_nonzero - main.  The pre-
-    rounding residual must stay below 1e-6 or RoundingDrift is raised.
+    with T the table of sums of r[x] * chi_j(x - shift).  main is the
+    trivial character's share of n_nonzero and err = n_nonzero - main.
+    The pre-rounding residual must stay below ROUND_TOL or RoundingDrift
+    is raised.
     """
     m = field.q - 1
-    r_ab = rep_product(field, a, b)
-    t1 = repfn_char_sums(field, r_ab, shift=lam)
-    s_c = set_char_sums(field, negate_subset(field, c))
+    t = repfn_char_sums(field, r, shift=shift)
+    s_c = set_char_sums(field, c)
     s_d = set_char_sums(field, d)
 
-    total = np.dot(t1.values, np.conj(s_c.values) * np.conj(s_d.values)) / m
+    total = np.dot(t.values, np.conj(s_c.values) * np.conj(s_d.values)) / m
     n_nonzero = float(total.real)
 
     residual = abs(n_nonzero - round(n_nonzero))
@@ -79,12 +74,20 @@ def count_bilinear_charform(field: FieldSpec, a: FqSubset, b: FqSubset,
             f"nonzero-branch count {n_nonzero!r} is {residual:.3e} from an integer"
         )
 
-    n_zero = int(r_ab.counts[lam]) * _zero_product_pairs(c, d)
-    n = int(round(n_nonzero)) + n_zero
+    r_shift = int(r.counts[shift])
+    n = int(round(n_nonzero)) + r_shift * _zero_product_pairs(c, d)
+    main = (r.total() - r_shift) * c.star_size() * d.star_size() / m
+    return n, main, n_nonzero - main
 
-    main = (a.size * b.size - int(r_ab.counts[lam])) * _star_size(c) * _star_size(d) / m
-    err = n_nonzero - main
-    return n, main, err
+
+def count_bilinear_charform(field: FieldSpec, a: FqSubset, b: FqSubset,
+                            c: FqSubset, d: FqSubset, lam: int) -> tuple[int, float, float]:
+    """Character-route count of a*b + c*d = lam; returns (n, main, err).
+
+    a*b + c*d = lam is the same event as a*b - lam = (-c)*d, so this is
+    the character route on r_AB shifted by lam against -C and D.
+    """
+    return _charform(field, rep_product(field, a, b), lam, negate_subset(field, c), d)
 
 
 def count_additive(field: FieldSpec, a: FqSubset, b: FqSubset, c: FqSubset,
@@ -99,31 +102,9 @@ def count_additive_charform(field: FieldSpec, a: FqSubset, b: FqSubset,
                             c: FqSubset, d: FqSubset) -> tuple[int, float, float]:
     """Character-route count of a + b = c*d; returns (t, main, err).
 
-    Same layout as count_bilinear_charform: tuples with c*d = 0 force
-    a + b = 0 and are exact, the rest come from orthogonality applied to
-    sums of chi_j(a + b) against conj(S_C) * conj(S_D).
+    The character route on r_{A+B}, unshifted, against C and D.
     """
-    m = field.q - 1
-    r_sum = rep_sum(field, a, b)
-    t2 = repfn_char_sums(field, r_sum)
-    s_c = set_char_sums(field, c)
-    s_d = set_char_sums(field, d)
-
-    total = np.dot(t2.values, np.conj(s_c.values) * np.conj(s_d.values)) / m
-    t_nonzero = float(total.real)
-
-    residual = abs(t_nonzero - round(t_nonzero))
-    if residual > ROUND_TOL:
-        raise RoundingDrift(
-            f"nonzero-branch count {t_nonzero!r} is {residual:.3e} from an integer"
-        )
-
-    t_zero = int(r_sum.counts[0]) * _zero_product_pairs(c, d)
-    t = int(round(t_nonzero)) + t_zero
-
-    main = (a.size * b.size - int(r_sum.counts[0])) * _star_size(c) * _star_size(d) / m
-    err = t_nonzero - main
-    return t, main, err
+    return _charform(field, rep_sum(field, a, b), 0, c, d)
 
 
 def count_general(field: FieldSpec, pairs: list[tuple[FqSubset, FqSubset]], lam: int) -> int:
@@ -149,9 +130,7 @@ def exceptional_set(field: FieldSpec, f: FqSubset, g: FqSubset, h: FqSubset) -> 
     attainable = np.zeros(field.q, dtype=bool)
     for x in f.codes():
         attainable[add_codes(field, int(x), supp)] = True
-    mask = ~attainable
-    mask.flags.writeable = False
-    return FqSubset(membership=mask, size=int(mask.sum()))
+    return FqSubset.from_mask(~attainable)
 
 
 def verify_sarkozy_identity(field: FieldSpec, f: FqSubset, g: FqSubset,

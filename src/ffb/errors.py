@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
 Construction and input errors (NotPrime, Reducible, Overflow, BadParam, ...)
-signal caller mistakes.  RoundingDrift and IntegerOverflow signal that a
-computation left its guaranteed-exact regime and must not be trusted.
+subclass UsageError and signal caller mistakes.  RoundingDrift and
+IntegerOverflow signal that a computation left its guaranteed-exact regime
+and must not be trusted; InvariantViolation signals that a proven fact
+failed to hold, which is a bug.
 """
 
 
@@ -10,15 +12,19 @@ class FfbError(Exception):
     """Base class for every error raised by this package."""
 
 
-class NotPrime(FfbError):
+class UsageError(FfbError):
+    """Base class for errors caused by the caller's input, not the computation."""
+
+
+class NotPrime(UsageError):
     """The characteristic passed to a field constructor is not prime."""
 
 
-class Reducible(FfbError):
+class Reducible(UsageError):
     """A supplied modulus polynomial factors over the base field."""
 
 
-class Overflow(FfbError):
+class Overflow(UsageError):
     """Requested field order exceeds the configured cap."""
 
 
@@ -26,7 +32,7 @@ class DivideByZero(FfbError, ZeroDivisionError):
     """Multiplicative inverse of zero requested."""
 
 
-class BadExponent(FfbError):
+class BadExponent(UsageError):
     """Character index outside the valid range [0, q-1)."""
 
 
@@ -38,17 +44,21 @@ class RoundingDrift(FfbError):
     """A float quantity that must be an integer drifted past tolerance."""
 
 
-class NoNontrivialCharacter(FfbError):
+class NoNontrivialCharacter(UsageError):
     """The field has no nontrivial multiplicative character (q = 2)."""
 
 
-class LambdaZero(FfbError):
+class LambdaZero(UsageError):
     """The requested target value must be nonzero."""
 
 
-class NotPrimeField(FfbError):
+class NotPrimeField(UsageError):
     """Operation defined only over prime fields (k = 1)."""
 
 
-class BadParam(FfbError):
+class BadParam(UsageError):
     """A set description or CLI parameter is malformed; message names it."""
+
+
+class InvariantViolation(FfbError):
+    """A result the mathematics guarantees did not hold; a bug, not bad input."""

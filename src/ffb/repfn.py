@@ -26,6 +26,16 @@ class FqSubset:
     membership: np.ndarray
     size: int
 
+    @classmethod
+    def from_mask(cls, mask: np.ndarray) -> FqSubset:
+        """Freeze a fresh boolean mask (made read-only, not copied) as a subset."""
+        mask.flags.writeable = False
+        return cls(membership=mask, size=int(mask.sum()))
+
+    def star_size(self) -> int:
+        """Cardinality of the subset with the zero element removed."""
+        return self.size - bool(self.membership[0])
+
     def codes(self) -> np.ndarray:
         return np.nonzero(self.membership)[0].astype(np.int64)
 
@@ -46,11 +56,6 @@ class RepFn:
         return np.nonzero(self.counts)[0].astype(np.int64)
 
 
-def _freeze(mask: np.ndarray) -> FqSubset:
-    mask.flags.writeable = False
-    return FqSubset(membership=mask, size=int(mask.sum()))
-
-
 def subset_from_codes(field: FieldSpec, codes: Iterable[int]) -> FqSubset:
     mask = np.zeros(field.q, dtype=bool)
     for c in codes:
@@ -58,25 +63,25 @@ def subset_from_codes(field: FieldSpec, codes: Iterable[int]) -> FqSubset:
         if c < 0 or c >= field.q:
             raise BadParam(f"element code {c} outside [0, {field.q})")
         mask[c] = True
-    return _freeze(mask)
+    return FqSubset.from_mask(mask)
 
 
 def full_subset(field: FieldSpec) -> FqSubset:
-    return _freeze(np.ones(field.q, dtype=bool))
+    return FqSubset.from_mask(np.ones(field.q, dtype=bool))
 
 
 def empty_subset(field: FieldSpec) -> FqSubset:
-    return _freeze(np.zeros(field.q, dtype=bool))
+    return FqSubset.from_mask(np.zeros(field.q, dtype=bool))
 
 
 def complement_subset(field: FieldSpec, s: FqSubset) -> FqSubset:
-    return _freeze(~s.membership)
+    return FqSubset.from_mask(~s.membership)
 
 
 def negate_subset(field: FieldSpec, s: FqSubset) -> FqSubset:
     mask = np.zeros(field.q, dtype=bool)
     mask[neg_codes(field, s.codes())] = True
-    return _freeze(mask)
+    return FqSubset.from_mask(mask)
 
 
 def _cyclic_convolve(u: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:

@@ -13,23 +13,19 @@ from __future__ import annotations
 import math
 
 from .counters import count_bilinear
-from .errors import NotPrimeField
+from .errors import InvariantViolation, NotPrimeField
 from .field import FieldSpec, add_codes, field_inv, mul_codes
 from .repfn import FqSubset, negate_subset, rep_product, rep_sum
 
 
 def sumset(field: FieldSpec, x: FqSubset, y: FqSubset) -> FqSubset:
     """X + Y as a subset (support of the additive representation fn)."""
-    mask = rep_sum(field, x, y).counts > 0
-    mask.flags.writeable = False
-    return FqSubset(membership=mask, size=int(mask.sum()))
+    return FqSubset.from_mask(rep_sum(field, x, y).counts > 0)
 
 
 def productset(field: FieldSpec, x: FqSubset, y: FqSubset) -> FqSubset:
     """X * Y as a subset (support of the product representation fn)."""
-    mask = rep_product(field, x, y).counts > 0
-    mask.flags.writeable = False
-    return FqSubset(membership=mask, size=int(mask.sum()))
+    return FqSubset.from_mask(rep_product(field, x, y).counts > 0)
 
 
 def garaev_solution_count(field: FieldSpec, x: FqSubset, y: FqSubset) -> tuple[int, int]:
@@ -47,8 +43,10 @@ def garaev_solution_count(field: FieldSpec, x: FqSubset, y: FqSubset) -> tuple[i
         for x2 in xs:
             u = add_codes(field, int(x2), scaled)
             count += int(u_set.membership[u].sum())
-    lower = (x.size - bool(x.membership[0])) * x.size * y.size
-    assert count >= lower  # injective witness family, cannot fail
+    lower = x.star_size() * x.size * y.size
+    if count < lower:
+        # the witness family is injective, so this is a bug
+        raise InvariantViolation(f"solution count {count} below its lower bound {lower}")
     return count, lower
 
 

@@ -1,4 +1,4 @@
-"""Character evaluation, sum tables, and the transform hook."""
+"""Character evaluation and sum tables against the char_eval double sum."""
 
 import cmath
 
@@ -7,11 +7,8 @@ import pytest
 
 from ffb.characters import (
     char_eval,
-    direct_transform,
-    fft_transform,
     repfn_char_sums,
     set_char_sums,
-    set_transform_override,
     shifted_product_char_sums,
 )
 from ffb.errors import BadExponent, BadParam
@@ -128,31 +125,28 @@ def test_shifted_product_singletons_unimodular(f7):
     assert np.allclose(np.abs(table), 1.0, atol=TOL)
 
 
-def test_shifted_product_matches_double_loop(f7):
-    a = subset_from_codes(f7, [1, 3])
-    b = subset_from_codes(f7, [2, 5])
-    lam = 1
-    table = shifted_product_char_sums(f7, a, b, lam).values
-    for j in range(6):
-        direct = sum(
-            char_eval(f7, j, field_sub(f7, field_mul(f7, x, y), lam), "all_zero")
-            for x in (1, 3) for y in (2, 5)
-        )
-        assert abs(table[j] - direct) < table_tol(f7)
+def test_shifted_product_matches_double_loop(f7, f9, f16):
+    # every table builder against the char_eval double sum, shifts 0 and lam
+    for field in (f7, f9, f16):
+        q = field.q
+        a = realize(field, SetSpec("random", (q // 2,)), derive_seed(29, q, 0))
+        b = realize(field, SetSpec("random", (q // 3,)), derive_seed(29, q, 1))
+        counts = np.array([stream_value(31, x) % 4 for x in range(q)], dtype=np.int64)
+        lam = 1 + stream_value(37, q) % (q - 1)
 
+        def chi(j, x):
+            return char_eval(field, j, x, "all_zero")
 
-def test_transforms_agree_on_random_input():
-    v = np.array([complex(stream_value(19, 2 * t) % 100,
-                          stream_value(19, 2 * t + 1) % 100) for t in range(12)])
-    assert np.allclose(direct_transform(v), fft_transform(v), atol=1e-8)
-
-
-def test_transform_override_is_a_drop_in(f11):
-    a = realize(f11, SetSpec("random", (6,)), 23)
-    baseline = set_char_sums(f11, a).values
-    set_transform_override(fft_transform)
-    try:
-        assert np.allclose(set_char_sums(f11, a).values, baseline, atol=TOL)
-    finally:
-        set_transform_override(None)
-    assert np.array_equal(set_char_sums(f11, a).values, baseline)
+        cases = [
+            (set_char_sums(field, a), lambda j: sum(chi(j, x) for x in a.codes())),
+            (repfn_char_sums(field, RepFn(counts=counts)),
+             lambda j: sum(counts[x] * chi(j, x) for x in range(q))),
+            (repfn_char_sums(field, RepFn(counts=counts), shift=lam),
+             lambda j: sum(counts[x] * chi(j, field_sub(field, x, lam)) for x in range(q))),
+            (shifted_product_char_sums(field, a, b, lam),
+             lambda j: sum(chi(j, field_sub(field, field_mul(field, x, y), lam))
+                           for x in a.codes() for y in b.codes())),
+        ]
+        for table, direct in cases:
+            for j in range(q - 1):
+                assert abs(table.values[j] - direct(j)) < table_tol(field)

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import ffb.bounds
 from ffb.cli import run
 
 
@@ -154,6 +155,15 @@ def test_solvability_subcommand(capsys):
     assert rec["empirical_delta"] is None  # infinite gap serialised as null
 
 
+def test_broken_invariant_is_a_hard_failure(capsys, monkeypatch):
+    # a fired threshold with no solution is a bug: exit 1, never a usage error
+    monkeypatch.setattr(ffb.bounds, "count_bilinear", lambda *args: 0)
+    code = run(["solvability", "--p", "7", "--a", "interval:1..6", "--b", "interval:1..6",
+                "--c", "interval:1..6", "--d", "interval:1..6", "--lambda", "1"])
+    assert code == 1
+    assert "hard failure: InvariantViolation" in capsys.readouterr().err
+
+
 def test_csv_format(capsys):
     code, lines, _ = run_lines(capsys, COUNT_ARGS + ["--format", "csv", "--no-timing"])
     assert code == 0
@@ -182,6 +192,10 @@ def test_usage_errors_exit_2(capsys):
         ["count", "--sideways", "5"],                           # unknown flag
         ["solvability", "--p", "7", "--a", "explicit:1", "--b", "explicit:1",
          "--c", "explicit:1", "--d", "explicit:1", "--lambda", "0"],
+        COUNT_ARGS[:1] + ["--p", "2", "--k", "21"] + COUNT_ARGS[3:],      # Overflow
+        COUNT_ARGS[:1] + ["--p", "2", "--k", "2", "--modulus", "1,0,1"]
+        + COUNT_ARGS[3:],                                       # Reducible
+        ["bounds", "--p", "2", "--a", "explicit:1", "--b", "explicit:1"],  # q = 2
     ]
     for argv in cases:
         assert run(argv) == 2, argv

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ffb.characters import direct_transform, set_transform_override
+import ffb.characters
 from ffb.counters import (
     count_additive,
     count_additive_charform,
@@ -162,11 +162,11 @@ def test_lambda_sum_rule(f11, f16):
         assert total == a.size * b.size * c.size * d.size
 
 
-def test_rounding_drift_guard_fires_on_broken_transform(f7):
+def test_rounding_drift_guard_fires_on_broken_transform(f7, monkeypatch):
     a, b, c, d = seeded_sets(f7, 61, 4)
-    set_transform_override(lambda v: direct_transform(v) + 0.25)
-    try:
-        with pytest.raises(RoundingDrift):
-            count_bilinear_charform(f7, a, b, c, d, 1)
-    finally:
-        set_transform_override(None)
+    real = ffb.characters._transform
+    monkeypatch.setattr(ffb.characters, "_transform", lambda v: real(v) + 0.25)
+    with pytest.raises(RoundingDrift):
+        count_bilinear_charform(f7, a, b, c, d, 1)
+    with pytest.raises(RoundingDrift):
+        count_additive_charform(f7, a, b, c, d)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from ffb.errors import NotPrimeField
+import ffb.sumprod
+from ffb.errors import InvariantViolation, NotPrimeField
 from ffb.field import make_field
 from ffb.repfn import empty_subset, full_subset, subset_from_codes
 from ffb.selfcheck import brute_det2_all, grid_tuple
@@ -112,3 +113,10 @@ def test_determinant_count_matches_brute(shape):
         brute = brute_det2_all(field, a, b, c, d)
         for lam in range(field.q):
             assert count_determinant2(field, a, b, c, d, lam) == int(brute[lam])
+
+
+def test_solution_count_below_lower_bound_raises(f5, monkeypatch):
+    monkeypatch.setattr(ffb.sumprod, "sumset", lambda field, x, y: empty_subset(field))
+    full = full_subset(f5)
+    with pytest.raises(InvariantViolation):
+        garaev_solution_count(f5, full, full)
