@@ -18,6 +18,7 @@ are the basis of the vectorized helpers at the bottom of the module.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -179,6 +180,37 @@ def _search_generator(p: int, k: int, q: int, modulus: tuple[int, ...]) -> int:
     raise AssertionError("cyclic group without generator")  # unreachable
 
 
+def _exp_table(p: int, k: int, gen: int, modulus: tuple[int, ...]) -> np.ndarray:
+    """exp[t] = code of gen^t for t < q - 1, built in blocks of B ~ sqrt(q - 1).
+
+    The first block gen^0 .. gen^(B-1) is stepped out by honest polynomial
+    multiplication.  Multiplication by h = gen^B is an F_p-linear map on
+    digit vectors, so block s + 1 is block s times the k x k matrix of h,
+    one matmul per block.  The matmul runs in float64, whose entries stay
+    below k * p^2; Overflow refuses a field where that could exceed 2^53.
+    """
+    if k * (p - 1) ** 2 >= 1 << 53:
+        raise Overflow(f"F_{p}^{k} is too large for exact float64 table steps")
+    m = p ** k - 1
+    block = math.isqrt(m - 1) + 1
+    mod = list(modulus)
+    gd = _decode(gen, p, k)
+    xd = [1] + [0] * (k - 1)
+    digits = np.empty((block, k), dtype=np.int64)
+    for t in range(block):
+        digits[t] = xd
+        xd = _poly_mulmod(xd, gd, mod, p)
+    # row i holds the digits of h * x^i, so digits @ step multiplies each row by h
+    step = np.array([_poly_mulmod(xd, [0] * i + [1], mod, p) for i in range(k)],
+                    dtype=np.float64)
+    powers = p ** np.arange(k, dtype=np.int64)
+    exp = np.empty(block * (m // block + 1), dtype=np.int64)
+    for start in range(0, m, block):
+        exp[start:start + block] = digits @ powers
+        digits = (digits @ step).astype(np.int64) % p
+    return exp[:m].copy()
+
+
 def make_field(p: int, k: int = 1, modulus=None, max_q: int | None = None) -> FieldSpec:
     """Build F_{p^k} with dlog/exp tables.
 
@@ -214,23 +246,9 @@ def make_field(p: int, k: int = 1, modulus=None, max_q: int | None = None) -> Fi
 
     gen = _search_generator(p, k, q, mod)
 
+    exp = _exp_table(p, k, gen, mod)
     dlog = np.full(q, -1, dtype=np.int64)
-    exp = np.empty(q - 1, dtype=np.int64)
-    if k == 1:
-        x = 1
-        for t in range(q - 1):
-            exp[t] = x
-            dlog[x] = t
-            x = (x * gen) % p
-    else:
-        m = list(mod)
-        gd = _decode(gen, p, k)
-        xd = [1] + [0] * (k - 1)
-        for t in range(q - 1):
-            code = _encode(xd, p)
-            exp[t] = code
-            dlog[code] = t
-            xd = _poly_mulmod(xd, gd, m, p)
+    dlog[exp] = np.arange(q - 1, dtype=np.int64)
     dlog.flags.writeable = False
     exp.flags.writeable = False
     return FieldSpec(p=p, k=k, q=q, modulus=mod, generator=gen, dlog=dlog, exp=exp)
@@ -305,8 +323,10 @@ def _encode_vec(digits: np.ndarray, p: int) -> np.ndarray:
 
 
 def add_codes(field: FieldSpec, x: int, codes: np.ndarray) -> np.ndarray:
-    """Code of x + c for every c in codes."""
+    """Code of x + c for every c in codes (XOR when p = 2: digits are bits)."""
     codes = np.asarray(codes, dtype=np.int64)
+    if field.p == 2:
+        return codes ^ x
     if field.k == 1:
         return (x + codes) % field.p
     d = _digits_vec(codes, field.p, field.k)
@@ -317,6 +337,8 @@ def add_codes(field: FieldSpec, x: int, codes: np.ndarray) -> np.ndarray:
 
 def neg_codes(field: FieldSpec, codes: np.ndarray) -> np.ndarray:
     codes = np.asarray(codes, dtype=np.int64)
+    if field.p == 2:
+        return codes.copy()
     if field.k == 1:
         return (-codes) % field.p
     d = (-_digits_vec(codes, field.p, field.k)) % field.p
@@ -326,6 +348,8 @@ def neg_codes(field: FieldSpec, codes: np.ndarray) -> np.ndarray:
 def sub_perm(field: FieldSpec, lam: int) -> np.ndarray:
     """Array perm with perm[x] = code of (lam - x), over all codes x."""
     codes = np.arange(field.q, dtype=np.int64)
+    if field.p == 2:
+        return codes ^ lam
     if field.k == 1:
         return (lam - codes) % field.p
     d = -_digits_vec(codes, field.p, field.k)

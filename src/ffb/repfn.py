@@ -84,10 +84,71 @@ def negate_subset(field: FieldSpec, s: FqSubset) -> FqSubset:
     return FqSubset.from_mask(mask)
 
 
+def inverse_subset(field: FieldSpec, s: FqSubset) -> FqSubset:
+    """{x^(-1) : x in S, x != 0}; zero has no inverse and is dropped."""
+    t = field.dlog[s.codes()]
+    mask = np.zeros(field.q, dtype=bool)
+    mask[field.exp[-t[t >= 0] % (field.q - 1)]] = True
+    return FqSubset.from_mask(mask)
+
+
 def _cyclic_convolve(u: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
     lin = np.convolve(u, v)
     out = lin[:m].copy()
     out[: m - 1] += lin[m:]
+    return out
+
+
+def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
+    """Unnormalised Walsh-Hadamard transform of a length-2^k array, as a new array.
+
+    Entry j is the sum of a[x] * (-1)^popcount(x & j); applying it twice
+    multiplies by 2^k.
+    """
+    h = 1
+    while h < a.size:
+        pairs = a.reshape(-1, 2, h)
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        a = np.stack((lo + hi, lo - hi), axis=1).reshape(-1)
+        h *= 2
+    return a
+
+
+def _xor_convolve(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """out[z] = sum over x of u[x] * v[x ^ z], exact for nonnegative int64 input
+    whose mass product sum(u) * sum(v) is below 2^63.
+
+    Every transformed entry is at most that mass, so the pointwise product
+    fits in int64.  The inverse transform of the product would not, so it
+    runs on two 32-bit limbs, each far inside int64 for q <= 2^31:
+    q * out = 2^32 * H + L with H, L the transforms of the limbs.  L is a
+    multiple of q because 2^32 * H is, which gives out without overflow.
+    """
+    prod = _walsh_hadamard(u) * _walsh_hadamard(v)
+    high = _walsh_hadamard(prod >> 32)
+    low = _walsh_hadamard(prod & 0xFFFFFFFF)
+    k = u.size.bit_length() - 1
+    return (high << (32 - k)) + (low >> k)
+
+
+def _add_convolve(field: FieldSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """out[z] = sum over x of u[x] * v[z - x] over (F_q, +) = Z_p^k, as a new array.
+
+    Z_q for k = 1 by cyclic convolution, Z_2^k by the Walsh-Hadamard
+    transform, and otherwise one translate-and-accumulate of the support
+    of one input per support point of the sparser one.
+    """
+    if field.k == 1:
+        return _cyclic_convolve(u, v, field.q)
+    if field.p == 2:
+        return _xor_convolve(u, v)
+    if np.count_nonzero(u) > np.count_nonzero(v):
+        u, v = v, u
+    out = np.zeros(field.q, dtype=np.int64)
+    supp = np.nonzero(v)[0]
+    for x in np.nonzero(u)[0]:
+        # translation by x is injective, so plain fancy-index += is safe
+        out[add_codes(field, int(x), supp)] += u[x] * v[supp]
     return out
 
 
@@ -109,13 +170,12 @@ def rep_product(field: FieldSpec, a: FqSubset, b: FqSubset) -> RepFn:
 
 
 def rep_sum(field: FieldSpec, a: FqSubset, b: FqSubset) -> RepFn:
-    """counts[z] = #{(x, y) in A x B : x + y = z} by direct accumulation."""
-    counts = np.zeros(field.q, dtype=np.int64)
-    outer, inner = (a, b) if a.size <= b.size else (b, a)
-    inner_codes = inner.codes()
-    for x in outer.codes():
-        # translation by x is injective, so plain fancy-index += is safe
-        counts[add_codes(field, int(x), inner_codes)] += 1
+    """counts[z] = #{(x, y) in A x B : x + y = z}.
+
+    The additive convolution of the two indicator vectors over (F_q, +).
+    """
+    counts = _add_convolve(field, a.membership.astype(np.int64),
+                           b.membership.astype(np.int64))
     counts.flags.writeable = False
     return RepFn(counts=counts)
 
@@ -131,12 +191,6 @@ def additive_convolve(field: FieldSpec, r1: RepFn, r2: RepFn) -> RepFn:
         raise IntegerOverflow(
             f"convolution mass {mass} exceeds the exact int64 range"
         )
-    if field.k == 1:
-        out = _cyclic_convolve(r1.counts, r2.counts, field.q)
-    else:
-        out = np.zeros(field.q, dtype=np.int64)
-        all_codes = np.arange(field.q, dtype=np.int64)
-        for x in r1.support():
-            out[add_codes(field, int(x), all_codes)] += r1.counts[x] * r2.counts
+    out = _add_convolve(field, r1.counts, r2.counts)
     out.flags.writeable = False
     return RepFn(counts=out)

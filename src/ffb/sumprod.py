@@ -1,21 +1,28 @@
 """Sum-product style counters: sumsets, productsets, and two derived counts.
 
-garaev_solution_count enumerates solutions of v * x1^(-1) + x2 = u with
-x1 in X minus zero, x2 in X, u in the sumset X + Y, v in the productset
-X * Y.  Every triple (x1, x2, y) yields the solution (x1, x2, x2 + y,
-x1 * y) and distinct triples yield distinct solutions, so the count is
-at least #(X minus 0) * #X * #Y; restricting x1 away from zero is what
-keeps that lower bound exact in the presence of zero.
+garaev_solution_count counts solutions of v * x1^(-1) + x2 = u with x1
+in X minus zero, x2 in X, u in the sumset U = X + Y and v in the
+productset V = X * Y.  Fixing w = v * x1^(-1), the pairs (u, x2) with
+u - x2 = w number r_{U+(-X)}(w), and the pairs (v, x1) giving w number
+r_{V*X*^(-1)}(w), X*^(-1) being the inverses of the nonzero elements of
+X.  So the count is the inner product of those two representation
+functions: two convolutions and a dot product.  Every triple (x1, x2, y)
+yields the solution (x1, x2, x2 + y, x1 * y) and distinct triples yield
+distinct solutions, so the count is at least #(X minus 0) * #X * #Y;
+restricting x1 away from zero is what keeps that lower bound exact in
+the presence of zero.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .counters import count_bilinear
 from .errors import InvariantViolation, NotPrimeField
-from .field import FieldSpec, add_codes, field_inv, mul_codes
-from .repfn import FqSubset, negate_subset, rep_product, rep_sum
+from .field import FieldSpec
+from .repfn import FqSubset, inverse_subset, negate_subset, rep_product, rep_sum
 
 
 def sumset(field: FieldSpec, x: FqSubset, y: FqSubset) -> FqSubset:
@@ -30,19 +37,10 @@ def productset(field: FieldSpec, x: FqSubset, y: FqSubset) -> FqSubset:
 
 def garaev_solution_count(field: FieldSpec, x: FqSubset, y: FqSubset) -> tuple[int, int]:
     """(count, lower) for v * x1^(-1) + x2 = u over (X\\0) x X x (X+Y) x (X*Y)."""
-    u_set = sumset(field, x, y)
-    v_set = productset(field, x, y)
-    xs = x.codes()
-    vs = v_set.codes()
-    count = 0
-    for x1 in xs:
-        if x1 == 0:
-            continue
-        inv = field_inv(field, int(x1))
-        scaled = mul_codes(field, inv, vs)
-        for x2 in xs:
-            u = add_codes(field, int(x2), scaled)
-            count += int(u_set.membership[u].sum())
+    shifts = rep_sum(field, sumset(field, x, y), negate_subset(field, x))
+    scales = rep_product(field, productset(field, x, y), inverse_subset(field, x))
+    # both factors are nonnegative and the total is at most #X^2 * q < 2^63
+    count = int(np.dot(shifts.counts, scales.counts))
     lower = x.star_size() * x.size * y.size
     if count < lower:
         # the witness family is injective, so this is a bug

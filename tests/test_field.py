@@ -136,6 +136,45 @@ def test_dlog_is_homomorphism_sampled(shape):
         assert field_mul(f, x, y) == f.exp[(f.dlog[x] + f.dlog[y]) % m]
 
 
+def power(f, x, e):
+    """x^e by square-and-multiply on field_mul, independent of the tables."""
+    out = 1
+    while e:
+        if e & 1:
+            out = field_mul(f, out, x)
+        x = field_mul(f, x, x)
+        e >>= 1
+    return out
+
+
+def test_blocked_exp_table_matches_repeated_multiplication():
+    for p, k in [(2, 4), (2, 8), (3, 2), (3, 5), (5, 3), (7, 2)]:
+        f = make_field(p, k)
+        x = 1
+        for t in range(f.q - 1):
+            assert f.exp[t] == x, (p, k, t)
+            x = field_mul(f, x, f.generator)
+
+
+def test_blocked_exp_table_at_the_cap():
+    f = make_field(2, 20)
+    m = f.q - 1
+    assert np.array_equal(f.dlog[f.exp], np.arange(m))
+    assert f.dlog[0] == -1
+    for i in range(200):
+        t = stream_value(8, i) % m
+        assert f.exp[t] == power(f, f.generator, t)
+        x = 1 + stream_value(9, 2 * i) % m
+        y = 1 + stream_value(9, 2 * i + 1) % m
+        assert field_mul(f, x, y) == f.exp[(f.dlog[x] + f.dlog[y]) % m]
+
+
+def test_exp_table_refuses_inexact_float_steps():
+    # (p - 1)^2 >= 2^53: a block step could round in float64
+    with pytest.raises(Overflow):
+        make_field(94906297, max_q=1 << 30)
+
+
 def test_construction_is_deterministic():
     for p, k in [(13, 1), (2, 4), (3, 2)]:
         a = make_field(p, k)
@@ -164,8 +203,8 @@ def test_scalar_arithmetic(f16, f13):
             field_inv(f, 0)
 
 
-def test_vectorized_helpers_match_scalar(f9, f7):
-    for f in (f9, f7):
+def test_vectorized_helpers_match_scalar(f9, f7, f16):
+    for f in (f9, f7, f16):
         codes = np.arange(f.q, dtype=np.int64)
         for x in range(f.q):
             assert add_codes(f, x, codes).tolist() == [field_add(f, x, c) for c in range(f.q)]

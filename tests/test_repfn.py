@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from ffb.errors import BadParam, IntegerOverflow
-from ffb.field import field_add, field_mul, make_field
+from ffb.field import field_add, field_inv, field_mul, make_field
 from ffb.repfn import (
     RepFn,
+    _add_convolve,
     additive_convolve,
     complement_subset,
     empty_subset,
     full_subset,
+    inverse_subset,
     negate_subset,
     rep_product,
     rep_sum,
@@ -109,13 +111,15 @@ def test_mass_and_symmetry(f7, f16):
             assert (rp.counts >= 0).all() and (rs.counts >= 0).all()
 
 
-def test_additive_convolve_identity_and_constant(f5, f7):
-    r = rep_product(f7, seeded_subset(f7, 9), seeded_subset(f7, 10))
-    point = RepFn(counts=np.eye(7, dtype=np.int64)[0])
-    assert additive_convolve(f7, r, point).counts.tolist() == r.counts.tolist()
+def test_additive_convolve_identity_and_constant(f5, f7, f16):
+    for field in (f7, f16):
+        r = rep_product(field, seeded_subset(field, 9), seeded_subset(field, 10))
+        point = RepFn(counts=np.eye(field.q, dtype=np.int64)[0])
+        assert additive_convolve(field, r, point).counts.tolist() == r.counts.tolist()
 
-    ones = RepFn(counts=np.ones(5, dtype=np.int64))
-    assert additive_convolve(f5, ones, ones).counts.tolist() == [5] * 5
+    for field in (f5, f16):
+        ones = RepFn(counts=np.ones(field.q, dtype=np.int64))
+        assert additive_convolve(field, ones, ones).counts.tolist() == [field.q] * field.q
 
 
 def test_additive_convolve_matches_brute(f7, f9):
@@ -131,6 +135,38 @@ def test_additive_convolve_matches_brute(f7, f9):
                 for y in range(field.q):
                     brute[field_add(field, x, y)] += c1[x] * c2[y]
             assert out.counts.tolist() == brute.tolist()
+
+
+def spread_mass(rng, q, total):
+    """Nonnegative int64 vector of length q summing to total."""
+    cuts = np.sort(rng.integers(0, total + 1, q - 1, dtype=np.int64))
+    return np.diff(np.concatenate(([0], cuts, [total]))).astype(np.int64)
+
+
+def test_walsh_hadamard_convolution_is_exact_near_the_mass_limit(f16):
+    # mass products in [2^62, 2^63): transformed products need the limb split
+    rng = np.random.default_rng(11)
+    for field in (f16, make_field(2, 8)):
+        q = field.q
+        table = [[field_add(field, x, y) for y in range(q)] for x in range(q)]
+        for total1, total2 in [(1 << 31, (1 << 31) * 3 // 2), (1 << 60, 6), (5, 3 << 59)]:
+            c1, c2 = spread_mass(rng, q, total1), spread_mass(rng, q, total2)
+            assert (1 << 62) <= total1 * total2 < (1 << 63)
+            brute = [0] * q
+            for x in range(q):
+                for y in range(q):
+                    brute[table[x][y]] += int(c1[x]) * int(c2[y])
+            assert _add_convolve(field, c1, c2).tolist() == brute
+            out = additive_convolve(field, RepFn(counts=c1), RepFn(counts=c2))
+            assert out.counts.tolist() == brute
+
+
+def test_inverse_subset(f7, f16):
+    assert inverse_subset(f7, subset_from_codes(f7, [0, 2, 3, 6])).codes().tolist() == [4, 5, 6]
+    for field in (f7, f16):
+        s = seeded_subset(field, 12, lo=0)
+        expect = sorted({field_inv(field, int(x)) for x in s.codes() if x})
+        assert inverse_subset(field, s).codes().tolist() == expect
 
 
 def test_additive_convolve_overflow_guard(f5):

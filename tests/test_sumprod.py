@@ -1,10 +1,11 @@
 """Sumsets, productsets, the inverse-shift count, and the determinant count."""
 
+import numpy as np
 import pytest
 
 import ffb.sumprod
 from ffb.errors import InvariantViolation, NotPrimeField
-from ffb.field import make_field
+from ffb.field import add_codes, field_inv, make_field, mul_codes
 from ffb.repfn import empty_subset, full_subset, subset_from_codes
 from ffb.selfcheck import brute_det2_all, grid_tuple
 from ffb.setsgen import SetSpec, derive_seed, realize, stream_value
@@ -113,6 +114,35 @@ def test_determinant_count_matches_brute(shape):
         brute = brute_det2_all(field, a, b, c, d)
         for lam in range(field.q):
             assert count_determinant2(field, a, b, c, d, lam) == int(brute[lam])
+
+
+def garaev_triple_loop(field, x, y):
+    """The direct count, kept as the oracle: for each x1 != 0 and x2 in X,
+    the v in V = X * Y with v * x1^(-1) + x2 in U = X + Y."""
+    u_set = sumset(field, x, y)
+    vs = productset(field, x, y).codes()
+    count = 0
+    for x1 in x.codes():
+        if x1 == 0:
+            continue
+        scaled = mul_codes(field, field_inv(field, int(x1)), vs)
+        for x2 in x.codes():
+            count += int(u_set.membership[add_codes(field, int(x2), scaled)].sum())
+    return count
+
+
+def test_solution_count_matches_triple_loop(f7, f9, f11, f16):
+    for field in (f7, f9, f11, f16):
+        for idx in range(10):
+            x, y = seeded_pair(field, derive_seed(107, field.q, idx))
+            mask = x.membership.copy()
+            mask[0] = idx % 2 == 0  # X with 0 on even idx, without on odd
+            if not mask.any():
+                mask[1] = True
+            x = subset_from_codes(field, np.nonzero(mask)[0])
+            count, lower = garaev_solution_count(field, x, y)
+            assert count == garaev_triple_loop(field, x, y)
+            assert lower == x.star_size() * x.size * y.size
 
 
 def test_solution_count_below_lower_bound_raises(f5, monkeypatch):
