@@ -12,12 +12,10 @@ not hold), 2 usage error (bad flags, bad set spec, bad field parameters).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import csv
+import functools
 import json
 import math
 import os
-import shlex
 import sys
 import time
 
@@ -66,6 +64,10 @@ def _set_args(parser: argparse.ArgumentParser, slots, repeatable=False) -> None:
                                 help=f"set {slot}")
 
 
+# Built once per process: parse_args does not change the parser, and each
+# build takes milliseconds and leaves cyclic garbage (argparse's
+# per-argument HelpFormatter checks) until the next full collection.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="ffb", description=__doc__.splitlines()[0])
     top.add_argument("--script", type=str, default=None,
@@ -309,6 +311,8 @@ class _Emitter:
             return
         flat = _flatten(record)
         if self.writer is None:
+            import csv
+
             self.writer = csv.DictWriter(sys.stdout, fieldnames=list(flat))
             self.writer.writeheader()
         self.writer.writerow(flat)
@@ -401,6 +405,8 @@ def _run_scan(args) -> int:
     if args.jobs <= 1:
         outcomes = [_scan_worker(p) for p in payloads]
     else:
+        import concurrent.futures  # only a pooled scan needs it
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             outcomes = list(pool.map(_scan_worker, payloads))
     emitter = _Emitter(args.format)
@@ -423,6 +429,8 @@ def _run_selftest(args) -> int:
 
 
 def _run_script(path: str) -> int:
+    import shlex
+
     worst = 0
     try:
         with open(path, "r", encoding="utf-8") as fh:

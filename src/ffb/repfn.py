@@ -4,12 +4,28 @@ A representation function maps each field element z to the number of ways
 z arises from a pair (a, b) under some operation.  All counts here are
 exact int64 arrays indexed by element code; character-based evaluations
 elsewhere are cross-checks of these, never a replacement.
+
+Every cyclic convolution over Z_m (rep_product over Z_{q-1}; rep_sum and
+additive_convolve over a prime field) is one float64 rfft/irfft of a
+power-of-two size N = 2^n >= 2m - 1, certified before any transform by
+Percival's bound (Math. Comp. 72 (2003), Thm 5.1; see Higham, Accuracy and
+Stability of Numerical Algorithms, ch. 24): every entry is off by less than
+||x|| ||y|| ((1+e)^3n (1+e sqrt5)^(3n+1) (1+b)^3n - 1), with unit roundoff
+e = 2^-53 and twiddle error b.  For numpy's pocketfft the bound is taken
+with n radix-2 levels, which its radix-4 passes do not exceed in roundings
+per element, and b = 2^-50, since its twiddles come from accurately reduced
+sin/cos tables.  When the bound on the actual input norms is not below
+ROUND_BUDGET = 0.25, both inputs are split into base-2^s limbs with the
+widest s for which every output weight passes, and the rounded weights are
+recombined in int64.  Over F_{2^k} the additive convolution is an integer
+Walsh-Hadamard transform, exact without any bound.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -17,6 +33,13 @@ from .errors import BadParam, IntegerOverflow
 from .field import FieldSpec, add_codes, neg_codes
 
 INT64_LIMIT = 1 << 63
+# Largest certified rounding error of a float convolution; rint is exact
+# below 0.5, and the factor of two absorbs the bound's own float rounding.
+ROUND_BUDGET = 0.25
+_UNIT_ROUNDOFF = 2.0 ** -53
+# Assumed absolute error of each pocketfft twiddle factor: they are built
+# from accurately reduced sin/cos tables, a few ulps at most.
+_TWIDDLE_ERROR = 2.0 ** -50
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,13 +79,15 @@ class RepFn:
         return np.nonzero(self.counts)[0].astype(np.int64)
 
 
-def subset_from_codes(field: FieldSpec, codes: Iterable[int]) -> FqSubset:
+def subset_from_codes(field: FieldSpec, codes: Sequence[int] | np.ndarray) -> FqSubset:
+    """The subset of the listed codes; raises BadParam naming the first one,
+    in input order, outside [0, q)."""
+    arr = np.asarray(codes)
+    outside = (arr < 0) | (arr >= field.q)
+    if outside.any():
+        raise BadParam(f"element code {int(arr[outside.argmax()])} outside [0, {field.q})")
     mask = np.zeros(field.q, dtype=bool)
-    for c in codes:
-        c = int(c)
-        if c < 0 or c >= field.q:
-            raise BadParam(f"element code {c} outside [0, {field.q})")
-        mask[c] = True
+    mask[arr.astype(np.int64)] = True
     return FqSubset.from_mask(mask)
 
 
@@ -92,10 +117,95 @@ def inverse_subset(field: FieldSpec, s: FqSubset) -> FqSubset:
     return FqSubset.from_mask(mask)
 
 
+def _rfft_error_bound(norm_products: float, size: int, terms: int = 1) -> float:
+    """Bound on max |computed - exact| of irfft(sum of `terms` products
+    rfft(x_i) * rfft(y_i)) at a power-of-two `size`, given the sum of the
+    Euclidean norm products ||x_i|| * ||y_i||.
+
+    Percival's Theorem 5.1 for a radix-2 FFT convolution of length 2^n,
+    ||z' - z|| < ||x|| ||y|| ((1+e)^3n (1+e sqrt5)^(3n+1) (1+b)^3n - 1),
+    with e the unit roundoff and b the twiddle error, bounds the max norm
+    too.  Summing the products in the frequency domain adds a factor
+    (1+e)^(terms-1).  numpy's pocketfft transforms a power of two in
+    radix-4 passes and at most one radix-2 pass; a radix-4 butterfly does
+    the two additions of two radix-2 levels with one twiddle product
+    instead of two, so n radix-2 levels are taken as the error model.
+    """
+    n = size.bit_length() - 1
+    log_growth = ((3 * n + terms - 1) * math.log1p(_UNIT_ROUNDOFF)
+                  + (3 * n + 1) * math.log1p(_UNIT_ROUNDOFF * math.sqrt(5))
+                  + 3 * n * math.log1p(_TWIDDLE_ERROR))
+    return norm_products * math.expm1(log_growth)
+
+
+def _weight_terms(w: int, limbs: int) -> range:
+    """Limb indices i with i + j = w for limbs i, j < limbs."""
+    return range(max(0, w - limbs + 1), min(w, limbs - 1) + 1)
+
+
+def _limb_split(u: np.ndarray, v: np.ndarray, size: int) -> tuple[int, int]:
+    """(width, limbs): the widest base-2^width split of both inputs for which
+    every output weight certifies under ROUND_BUDGET, evaluated before any
+    transform.
+
+    One limb (width 63 keeps every nonnegative int64 whole) is certified by
+    the input norms alone.  Otherwise a limb i of u has norm at most
+    min((2^width - 1) sqrt(nnz u), ||u|| / 2^(width i)), and weight w sums
+    the products of limbs i + j = w.
+    """
+    norm_u, norm_v = (math.sqrt(float(np.square(x, dtype=np.float64).sum())) for x in (u, v))
+    if _rfft_error_bound(norm_u * norm_v, size) < ROUND_BUDGET:
+        return 63, 1
+    stats = (norm_u, math.sqrt(np.count_nonzero(u))), (norm_v, math.sqrt(np.count_nonzero(v)))
+    bits = max(int(u.max()).bit_length(), int(v.max()).bit_length())
+    for width in range(bits - 1, 0, -1):
+        limbs = -(-bits // width)
+        bu, bv = ([min(((1 << width) - 1) * root_nnz, norm / 2.0 ** (width * i))
+                   for i in range(limbs)] for norm, root_nnz in stats)
+        if all(_rfft_error_bound(sum(bu[i] * bv[w - i] for i in _weight_terms(w, limbs)),
+                                 size, len(_weight_terms(w, limbs))) < ROUND_BUDGET
+               for w in range(2 * limbs - 1)):
+            return width, limbs
+    raise IntegerOverflow(f"no limb width certifies a convolution of {bits}-bit entries")
+
+
 def _cyclic_convolve(u: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
-    lin = np.convolve(u, v)
-    out = lin[:m].copy()
-    out[: m - 1] += lin[m:]
+    """out[z] = sum over x of u[x] * v[(z - x) mod m], as a new int64 array.
+
+    Exact for nonnegative int64 inputs of length m whose mass product
+    sum(u) * sum(v) is below 2^63 (callers guard it), so every entry and
+    partial sum fits.  Both inputs are zero-padded to the power of two
+    size >= 2m - 1, so the linear convolution does not wrap; it is rounded
+    entrywise and folded mod m in int64.
+
+    Before any transform, _limb_split evaluates Percival's bound
+    (_rfft_error_bound) on the input norms and picks the widest limb width
+    that keeps every output weight under ROUND_BUDGET: weight w is irfft of
+    the sum of the limb spectrum products with i + j = w, and
+    out += rint(that) << (width * w).  Indicator vectors take one limb at
+    every q up to 2^20; products of representation functions take a few.
+    A limb spectrum is dropped after the last weight that uses it.
+    """
+    size = 1 << (2 * m - 2).bit_length()
+    width, limbs = _limb_split(u, v, size)
+    mask = (1 << width) - 1
+    spectra: tuple[dict, dict] = ({}, {})
+    out = np.zeros(m, dtype=np.int64)
+    for w in range(2 * limbs - 1):
+        if w < limbs:
+            for x, spec in zip((u, v), spectra):
+                spec[w] = np.fft.rfft(x if limbs == 1 else (x >> (width * w)) & mask, size)
+        terms = _weight_terms(w, limbs)
+        product = spectra[0][terms[0]] * spectra[1][w - terms[0]]
+        for i in terms[1:]:
+            product += spectra[0][i] * spectra[1][w - i]
+        if w >= limbs - 1:
+            del spectra[0][terms[0]], spectra[1][terms[0]]
+        lin = np.fft.irfft(product, size)[: 2 * m - 1]
+        del product
+        lin = np.rint(lin, out=lin).astype(np.int64)
+        lin[: m - 1] += lin[m:]
+        out += lin[:m] << (width * w)
     return out
 
 
@@ -184,8 +294,12 @@ def additive_convolve(field: FieldSpec, r1: RepFn, r2: RepFn) -> RepFn:
     """out[z] = sum over x of r1[x] * r2[z - x], subtraction in F_q.
 
     Exact in int64; raises IntegerOverflow when the total mass product
-    (an upper bound for every entry) would not fit.
+    (an upper bound for every entry) would not fit, and BadParam for a
+    negative count, which neither the mass bound nor the limb splits of the
+    transforms admit.
     """
+    if min(r1.counts.min(), r2.counts.min()) < 0:
+        raise BadParam("additive_convolve: counts must be nonnegative")
     mass = r1.total() * r2.total()  # Python ints, no wraparound
     if mass >= INT64_LIMIT:
         raise IntegerOverflow(

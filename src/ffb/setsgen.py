@@ -20,18 +20,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BadParam
 from .field import FieldSpec, field_add
 from .repfn import FqSubset, complement_subset, negate_subset, subset_from_codes
 
 _MASK = (1 << 64) - 1
 _PHI = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
 def _mix(z: int) -> int:
     z &= _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
     return z ^ (z >> 31)
 
 
@@ -111,22 +114,43 @@ def parse_setspec(text: str) -> SetSpec:
     raise BadParam(f"unknown set kind {kind!r}")
 
 
-def _draw_distinct(field: FieldSpec, m: int, seed: int) -> list[int]:
-    """m distinct codes by rejection from the unbiased counter stream."""
-    limit = ((1 << 64) // field.q) * field.q
-    seen: set[int] = set()
-    out: list[int] = []
-    counter = 0
-    while len(out) < m:
-        v = stream_value(seed, counter)
-        counter += 1
-        if v >= limit:
-            continue
-        code = v % field.q
-        if code not in seen:
-            seen.add(code)
-            out.append(code)
-    return out
+def _stream_block(seed: int, start: int, count: int) -> np.ndarray:
+    """stream_value(seed, c) for c in [start, start + count), as uint64;
+    numpy uint64 arithmetic wraps mod 2^64 like the masks in _mix."""
+    counters = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z = np.uint64(seed & _MASK) + counters * np.uint64(_PHI)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
+
+
+def _draw_distinct(field: FieldSpec, m: int, seed: int) -> np.ndarray:
+    """The first m distinct codes, in stream order, of the unbiased counter
+    stream: values at or above the largest multiple of q below 2^64 are
+    rejected, the rest taken mod q.
+
+    The stream is drawn in blocks of about twice the expected number of
+    draws still needed, at most 2^16 at a time.
+    """
+    q = field.q
+    limit = ((1 << 64) // q) * q
+    taken = np.zeros(q, dtype=bool)
+    parts = [np.zeros(0, dtype=np.int64)]
+    found = counter = 0
+    while found < m:
+        block = min(2 * (m - found) * q // (q - found) + 64, 1 << 16)
+        values = _stream_block(seed, counter, block)
+        counter += block
+        if limit <= _MASK:
+            values = values[values < np.uint64(limit)]
+        codes = (values % np.uint64(q)).astype(np.int64)
+        first = np.zeros(codes.size, dtype=bool)
+        first[np.unique(codes, return_index=True)[1]] = True
+        fresh = codes[first & ~taken[codes]][: m - found]
+        taken[fresh] = True
+        parts.append(fresh)
+        found += fresh.size
+    return np.concatenate(parts)
 
 
 def realize(field: FieldSpec, spec: SetSpec, seed: int = 0) -> FqSubset:
@@ -153,7 +177,7 @@ def realize(field: FieldSpec, spec: SetSpec, seed: int = 0) -> FqSubset:
         (d,) = spec.params
         if d < 1 or (field.q - 1) % d != 0:
             raise BadParam(f"subgroup: index {d} does not divide {field.q - 1}")
-        return subset_from_codes(field, (int(field.exp[t]) for t in range(0, field.q - 1, d)))
+        return subset_from_codes(field, field.exp[::d])
     if spec.kind == "progression":
         start, step, length = spec.params
         if length < 0:

@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
+from ffb.counters import count_bilinear, count_general
 from ffb.errors import BadParam, IntegerOverflow
 from ffb.field import field_add, field_inv, field_mul, make_field
 from ffb.repfn import (
+    ROUND_BUDGET,
     RepFn,
     _add_convolve,
+    _cyclic_convolve,
+    _rfft_error_bound,
     additive_convolve,
     complement_subset,
     empty_subset,
@@ -55,6 +59,17 @@ def test_subset_basics(f5):
         subset_from_codes(f5, [5])
     with pytest.raises(BadParam):
         subset_from_codes(f5, [-1])
+
+
+def test_subset_from_codes_names_the_first_bad_code(f7):
+    with pytest.raises(BadParam, match="element code 9 outside"):
+        subset_from_codes(f7, [3, 9, -1])
+    with pytest.raises(BadParam, match="element code -1 outside"):
+        subset_from_codes(f7, (2, -1, 9))
+    with pytest.raises(BadParam, match=f"element code {1 << 70} outside"):
+        subset_from_codes(f7, [1, 1 << 70])
+    assert subset_from_codes(f7, np.array([6, 6, 0])).codes().tolist() == [0, 6]
+    assert subset_from_codes(f7, ()).size == 0
 
 
 def test_rep_product_known_values(f5):
@@ -174,3 +189,88 @@ def test_additive_convolve_overflow_guard(f5):
     big[1] = 1 << 32
     with pytest.raises(IntegerOverflow):
         additive_convolve(f5, RepFn(counts=big), RepFn(counts=big))
+
+
+def cyclic_oracle(u, v, m):
+    """The O(m^2) int64 cyclic convolution over Z_m."""
+    lin = np.convolve(u, v)
+    out = lin[:m].copy()
+    out[: m - 1] += lin[m:]
+    return out
+
+
+@pytest.mark.parametrize("q", [5, 7, 4093, 16381])
+def test_convolutions_match_np_convolve_oracle(q):
+    field = make_field(q)
+    rand = [seeded_subset(field, derive_seed(13, q, idx), lo=0) for idx in range(2)]
+    pairs = [(full_subset(field), full_subset(field)), (rand[0], rand[1])]
+    if q < 100:  # the oracle is quadratic; at 16381 each call takes ~0.3 s
+        pairs += [(empty_subset(field), full_subset(field)), (rand[1], full_subset(field))]
+        pairs += [(seeded_subset(field, derive_seed(14, q, idx, 0), lo=0),
+                   seeded_subset(field, derive_seed(14, q, idx, 1), lo=0)) for idx in range(20)]
+    for a, b in pairs:
+        u, v = a.membership.astype(np.int64), b.membership.astype(np.int64)
+        assert rep_sum(field, a, b).counts.tolist() == cyclic_oracle(u, v, q).tolist()
+        prod = rep_product(field, a, b).counts[field.exp]
+        assert prod.tolist() == cyclic_oracle(u[field.exp], v[field.exp], q - 1).tolist()
+
+
+def test_prime_field_convolution_is_exact_near_the_mass_limit(f7):
+    # mass products in [2^62, 2^63) with entries above 2^53: one float64
+    # pass cannot hold them, so the limb split is what keeps this exact
+    rng = np.random.default_rng(12)
+    for field in (f7, make_field(101)):
+        q = field.q
+        for total1, total2 in [(1 << 31, (1 << 31) * 3 // 2), (1 << 60, 6), (5, 3 << 59)]:
+            c1, c2 = spread_mass(rng, q, total1), spread_mass(rng, q, total2)
+            assert (1 << 62) <= total1 * total2 < (1 << 63)
+            brute = [0] * q
+            for x in range(q):
+                for y in range(q):
+                    brute[(x + y) % q] += int(c1[x]) * int(c2[y])
+            assert max(brute) > 1 << 53
+            assert _cyclic_convolve(c1, c2, q).tolist() == brute
+            out = additive_convolve(field, RepFn(counts=c1), RepFn(counts=c2))
+            assert out.counts.tolist() == brute
+
+
+def test_count_general_matches_count_bilinear_at_prime_q():
+    # just above 2^14 the transform doubles to 2^16, and the near-full sets'
+    # fold takes two limbs; the q/4 sets take one
+    field = make_field(16411)
+    for m in (field.q // 4, field.q - 1):
+        a, b, c, d = (realize(field, SetSpec("random", (m,)), derive_seed(15, m, slot))
+                      for slot in range(4))
+        for lam in (0, 1, 7):
+            expect = count_bilinear(field, a, b, c, d, lam)
+            assert count_general(field, [(a, b), (c, d)], lam) == expect
+
+
+def test_rfft_error_bound_covers_observed_error():
+    rng = np.random.default_rng(16)
+    for size in (64, 1024, 4096):
+        for top in (2, 1 << 10, 1 << 20):
+            pairs = [rng.integers(0, top, (2, size // 2), dtype=np.int64) for _ in range(2)]
+            for terms in (1, 2):
+                spectrum = sum(np.fft.rfft(x, size) * np.fft.rfft(y, size)
+                               for x, y in pairs[:terms])
+                exact = sum(np.convolve(x, y) for x, y in pairs[:terms])
+                norms = sum(np.linalg.norm(x) * np.linalg.norm(y) for x, y in pairs[:terms])
+                observed = np.abs(np.fft.irfft(spectrum, size)[: size - 1] - exact).max()
+                assert observed <= _rfft_error_bound(float(norms), size, terms)
+
+
+def test_indicator_convolutions_need_one_limb_at_the_cap():
+    m = 1048573 - 1  # the largest prime q below 2^20, two full indicators
+    size = 1 << (2 * m - 2).bit_length()
+    assert size == 1 << 21
+    assert _rfft_error_bound(float(m), size) < ROUND_BUDGET
+
+
+def test_additive_convolve_refuses_negative_counts(f7, f16):
+    for field in (f7, f16):
+        ones = RepFn(counts=np.ones(field.q, dtype=np.int64))
+        signed = np.ones(field.q, dtype=np.int64)
+        signed[1] = -1
+        with pytest.raises(BadParam):
+            additive_convolve(field, RepFn(counts=signed), ones)

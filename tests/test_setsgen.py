@@ -3,8 +3,11 @@
 import pytest
 
 from ffb.errors import BadParam
+from ffb.field import make_field
 from ffb.setsgen import (
     SetSpec,
+    _draw_distinct,
+    _stream_block,
     derive_seed,
     parse_setspec,
     realize,
@@ -107,3 +110,37 @@ def test_explicit_validates_codes(f5):
 def test_progression_wraps_in_extension(f9):
     # step 1 = the polynomial 1, so the walk stays inside the prime subfield
     assert codes(f9, "progression:0,1,3") == [0, 1, 2]
+
+
+def scalar_draw(field, m, seed):
+    """The per-value rejection loop over stream_value, the reference order."""
+    limit = ((1 << 64) // field.q) * field.q
+    seen, out, counter = set(), [], 0
+    while len(out) < m:
+        v = stream_value(seed, counter)
+        counter += 1
+        if v >= limit:
+            continue
+        if v % field.q not in seen:
+            seen.add(v % field.q)
+            out.append(v % field.q)
+    return out
+
+
+def test_vectorised_draw_matches_scalar_stream():
+    for seed in (0, 1, derive_seed(7, 3)):
+        expect = [stream_value(seed, c) for c in range(5, 305)]
+        assert _stream_block(seed, 5, 300).tolist() == expect
+    for shape in [(2, 1), (5, 1), (7, 1), (3, 2), (2, 4), (2, 12), (4093, 1)]:
+        field = make_field(*shape)
+        for m in sorted({0, 1, 2, field.q // 4, field.q // 2, field.q - 1, field.q}):
+            for seed in (0, derive_seed(7, field.q, m)):
+                assert _draw_distinct(field, m, seed).tolist() == scalar_draw(field, m, seed)
+
+
+def test_subgroup_is_every_dth_power(f9, f16):
+    for field in (f9, f16):
+        for d in (1, 3, field.q - 1):
+            if (field.q - 1) % d == 0:
+                expect = sorted(int(field.exp[t]) for t in range(0, field.q - 1, d))
+                assert codes(field, f"subgroup:{d}") == expect
