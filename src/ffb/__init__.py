@@ -5,6 +5,7 @@ from .bounds import (
     cauchy_error_check,
     compute_V,
     compute_W,
+    karatsuba_bound,
     karatsuba_report,
     solvability_threshold_check,
     vinogradov_check,

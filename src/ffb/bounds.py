@@ -99,12 +99,12 @@ def vinogradov_check(field: FieldSpec, a: FqSubset, b: FqSubset,
     )
 
 
-def karatsuba_report(field: FieldSpec, a: FqSubset, b: FqSubset, lam: int,
-                     r: int = 1, use_p: bool = False) -> BoundReport:
-    """Higher moment bound on W, report only.
+def karatsuba_bound(field: FieldSpec, w: BoundReport, na: int, nb: int,
+                    r: int = 1, use_p: bool = False) -> BoundReport:
+    """Higher moment bound on a measured W for sets of sizes na and nb, report only.
 
-    bound = (#A)^(1 - 1/(2r)) * #B * base^(1/(4r))
-          + (#A)^(1 - 1/(2r)) * (#B)^(1/2) * base^(1/(2r))
+    bound = na^(1 - 1/(2r)) * nb * base^(1/(4r))
+          + na^(1 - 1/(2r)) * nb^(1/2) * base^(1/(2r))
 
     base is q by default; use_p substitutes the characteristic p, the
     variant meaningful for prime fields embedded in extensions.
@@ -112,18 +112,22 @@ def karatsuba_report(field: FieldSpec, a: FqSubset, b: FqSubset, lam: int,
     if r < 1:
         raise ValueError(f"moment parameter r must be >= 1, got {r}")
     base = field.p if use_p else field.q
-    measured = compute_W(field, a, b, lam)
-    na, nb = a.size, b.size
     e = 1.0 - 1.0 / (2 * r)
     bound = (na ** e) * nb * base ** (1.0 / (4 * r)) \
         + (na ** e) * math.sqrt(nb) * base ** (1.0 / (2 * r))
     return BoundReport(
-        w_or_v=measured.w_or_v,
+        w_or_v=w.w_or_v,
         bound_value=bound,
-        ratio=_ratio(measured.w_or_v, bound),
-        argmax_j=measured.argmax_j,
+        ratio=_ratio(w.w_or_v, bound),
+        argmax_j=w.argmax_j,
         r=r,
     )
+
+
+def karatsuba_report(field: FieldSpec, a: FqSubset, b: FqSubset, lam: int,
+                     r: int = 1, use_p: bool = False) -> BoundReport:
+    """karatsuba_bound on W measured at lam, report only."""
+    return karatsuba_bound(field, compute_W(field, a, b, lam), a.size, b.size, r, use_p)
 
 
 def cauchy_error_check(field: FieldSpec, a: FqSubset, b: FqSubset, c: FqSubset,

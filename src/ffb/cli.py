@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import time
+from typing import Iterator
 
 from . import bounds, counters, selfcheck, sumprod
 from .errors import FfbError, UsageError
@@ -157,14 +158,6 @@ def _sanitize(value):
     return value
 
 
-def _realize_slots(field: FieldSpec, specs: list[tuple[str, SetSpec]],
-                   seed: int) -> dict[str, FqSubset]:
-    out = {}
-    for slot_index, (name, spec) in enumerate(specs):
-        out[name] = realize(field, spec, derive_seed(seed, slot_index))
-    return out
-
-
 def _compute(op: str, field: FieldSpec, sets: dict[str, FqSubset],
              lam: int | None, extra: dict) -> tuple[dict, bool]:
     """Result fields for one instance; second value is overall health."""
@@ -240,12 +233,10 @@ def _compute_bounds(field: FieldSpec, sets: dict[str, FqSubset],
         out["vinogradov_w"] = {"bound": rep_w.bound_value, "ratio": rep_w.ratio,
                                "holds": rep_w.holds}
         ok = ok and rep_w.holds
-        sweep = []
-        for r in range(1, extra.get("r_max", 8) + 1):
-            kr = bounds.karatsuba_report(field, a, b, lam, r=r,
-                                         use_p=extra.get("use_p", False))
-            sweep.append({"r": r, "bound": kr.bound_value, "ratio": kr.ratio})
-        out["karatsuba"] = sweep
+        sweep = (bounds.karatsuba_bound(field, rep_w, a.size, b.size, r, extra["use_p"])
+                 for r in range(1, extra["r_max"] + 1))
+        out["karatsuba"] = [{"r": kr.r, "bound": kr.bound_value, "ratio": kr.ratio}
+                            for kr in sweep]
         if "c" in sets and "d" in sets:
             rep_c = bounds.cauchy_error_check(field, a, b, sets["c"], sets["d"], lam)
             out["cauchy"] = {"err": rep_c.w_or_v, "bound": rep_c.bound_value,
@@ -259,32 +250,42 @@ def _compute_bounds(field: FieldSpec, sets: dict[str, FqSubset],
 # records and output
 # ----------------------------------------------------------------------
 
-def _run_instance(op: str, field_params: dict, spec_slots: list[tuple[str, str]],
-                  lam: int | None, seed: int, index: int | None,
-                  extra: dict, with_timing: bool) -> tuple[dict, bool]:
-    field = make_field(**field_params)
-    specs = [(name, parse_setspec(text)) for name, text in spec_slots]
-    sets = _realize_slots(field, specs, seed)
-    start = time.perf_counter()
-    results, ok = _compute(op, field, sets, lam, extra)
-    elapsed = time.perf_counter() - start
-    record: dict = {"op": op}
-    if index is not None:
-        record["index"] = index
-    record["field"] = {"p": field.p, "k": field.k, "q": field.q,
-                       "modulus": list(field.modulus)}
-    record["sets"] = {name: spec.text() for name, spec in specs}
-    record["seed"] = seed
-    if lam is not None or op in LAMBDA_OPS:
-        record["lambda"] = lam
-    record.update(results)
-    if with_timing:
-        record["elapsed_us"] = int(elapsed * 1e6)
-    return record, ok
+def _walk(field: FieldSpec, instances: list[tuple[int, int | None, int | None]],
+          op: str, specs: list[tuple[str, SetSpec]], extra: dict,
+          with_timing: bool) -> Iterator[tuple[dict, bool]]:
+    """(record, ok) for each (seed, index, lam) instance, in order.
+
+    A run of instances with one seed shares one realisation of its sets.
+    """
+    sets_seed, sets = None, {}
+    for seed, index, lam in instances:
+        if seed != sets_seed:
+            sets_seed = seed
+            sets = {name: realize(field, spec, derive_seed(seed, slot))
+                    for slot, (name, spec) in enumerate(specs)}
+        start = time.perf_counter()
+        results, ok = _compute(op, field, sets, lam, extra)
+        elapsed = time.perf_counter() - start
+        record: dict = {"op": op}
+        if index is not None:
+            record["index"] = index
+        record["field"] = {"p": field.p, "k": field.k, "q": field.q,
+                           "modulus": list(field.modulus)}
+        record["sets"] = {name: spec.text() for name, spec in specs}
+        record["seed"] = seed
+        if lam is not None or op in LAMBDA_OPS:
+            record["lambda"] = lam
+        record.update(results)
+        if with_timing:
+            record["elapsed_us"] = int(elapsed * 1e6)
+        yield record, ok
 
 
-def _scan_worker(payload: tuple) -> tuple[dict, bool]:
-    return _run_instance(*payload)
+def _run_chunk(task: tuple) -> list[tuple[dict, bool]]:
+    """One pool task: a contiguous run of instances on a field rebuilt from
+    the validated parameters, so no table crosses a process boundary."""
+    field_params, instances, walk_args = task
+    return list(_walk(make_field(**field_params), instances, *walk_args))
 
 
 def _flatten(record: dict, prefix: str = "") -> dict:
@@ -371,44 +372,42 @@ def _slots_from_args(args, op: str) -> tuple[list[tuple[str, str]], dict]:
     return slots, extra
 
 
-def _run_simple(args, op: str) -> int:
+def _run_instances(args) -> int:
+    """Every subcommand but selftest: one field build, the set specs parsed
+    once, then (seed, index, lam) instances in order.
+
+    A single command is the unindexed seed --seed; scan numbers the seeds
+    derive_seed(--seed, s), s < --seeds.  Serially each record is written
+    as it is computed; --jobs N > 1 walks at most N contiguous runs of
+    instances in worker processes and writes their records in index order.
+    """
+    scan = args.op == "scan"
+    op = args.scan_op if scan else args.op
     field_params = _field_params(args)
     slots, extra = _slots_from_args(args, op)
-    probe = make_field(**field_params)
-    lams = _parse_lambda(probe, getattr(args, "lam", None)) if op in LAMBDA_OPS else [None]
-    emitter = _Emitter(args.format)
-    all_ok = True
-    for lam in lams:
-        record, ok = _run_instance(op, field_params, slots, lam, args.seed, None,
-                                   extra, not args.no_timing)
-        emitter.emit(record)
-        all_ok = all_ok and ok
-    return 0 if all_ok else 1
-
-
-def _run_scan(args) -> int:
-    op = args.scan_op
-    field_params = _field_params(args)
-    slots, extra = _slots_from_args(args, op)
-    probe = make_field(**field_params)
-    lams = _parse_lambda(probe, args.lam) if op in LAMBDA_OPS else [None]
-    if args.seeds < 1:
-        raise _Usage(f"--seeds must be >= 1, got {args.seeds}")
-    payloads = []
-    index = 0
-    for s in range(args.seeds):
-        seed = derive_seed(args.seed, s)
-        for lam in lams:
-            payloads.append((op, field_params, slots, lam, seed, index, extra,
-                             not args.no_timing))
-            index += 1
-    if args.jobs <= 1:
-        outcomes = [_scan_worker(p) for p in payloads]
+    field = make_field(**field_params)
+    lams = _parse_lambda(field, getattr(args, "lam", None)) if op in LAMBDA_OPS else [None]
+    if scan:
+        if args.seeds < 1:
+            raise _Usage(f"--seeds must be >= 1, got {args.seeds}")
+        if args.jobs < 1:
+            raise _Usage(f"--jobs must be >= 1, got {args.jobs}")
+        instances = [(derive_seed(args.seed, s), s * len(lams) + i, lam)
+                     for s in range(args.seeds) for i, lam in enumerate(lams)]
+    else:
+        instances = [(args.seed, None, lam) for lam in lams]
+    specs = [(name, parse_setspec(text)) for name, text in slots]
+    walk_args = (op, specs, extra, not args.no_timing)
+    chunks = min(args.jobs if scan else 1, len(instances))
+    if chunks == 1:
+        outcomes = _walk(field, instances, *walk_args)
     else:
         import concurrent.futures  # only a pooled scan needs it
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(_scan_worker, payloads))
+        cuts = [len(instances) * c // chunks for c in range(chunks + 1)]
+        tasks = [(field_params, instances[lo:hi], walk_args) for lo, hi in zip(cuts, cuts[1:])]
+        with concurrent.futures.ProcessPoolExecutor(max_workers=chunks) as pool:
+            outcomes = [out for done in pool.map(_run_chunk, tasks) for out in done]
     emitter = _Emitter(args.format)
     all_ok = True
     for record, ok in outcomes:
@@ -461,9 +460,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         if args.op == "selftest":
             return _run_selftest(args)
-        if args.op == "scan":
-            return _run_scan(args)
-        return _run_simple(args, args.op)
+        return _run_instances(args)
     except _Usage as exc:
         print(f"ffb: {exc}", file=sys.stderr)
         return 2

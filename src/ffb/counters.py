@@ -31,12 +31,6 @@ from .repfn import (
 ROUND_TOL = 1e-6
 
 
-def _zero_product_pairs(c: FqSubset, d: FqSubset) -> int:
-    """#{(x, y) in C x D : x*y = 0} without building a representation fn."""
-    zc, zd = bool(c.membership[0]), bool(d.membership[0])
-    return zc * d.size + zd * c.size - (zc and zd)
-
-
 def count_bilinear(field: FieldSpec, a: FqSubset, b: FqSubset, c: FqSubset,
                    d: FqSubset, lam: int) -> int:
     """#{(a,b,c,d) in A x B x C x D : a*b + c*d = lam}, exact."""
@@ -75,7 +69,7 @@ def _charform(field: FieldSpec, r: RepFn, shift: int, c: FqSubset,
         )
 
     r_shift = int(r.counts[shift])
-    n = int(round(n_nonzero)) + r_shift * _zero_product_pairs(c, d)
+    n = int(round(n_nonzero)) + r_shift * c.zero_product_pairs(d)
     main = (r.total() - r_shift) * c.star_size() * d.star_size() / m
     return n, main, n_nonzero - main
 

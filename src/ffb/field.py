@@ -347,15 +347,7 @@ def neg_codes(field: FieldSpec, codes: np.ndarray) -> np.ndarray:
 
 def sub_perm(field: FieldSpec, lam: int) -> np.ndarray:
     """Array perm with perm[x] = code of (lam - x), over all codes x."""
-    codes = np.arange(field.q, dtype=np.int64)
-    if field.p == 2:
-        return codes ^ lam
-    if field.k == 1:
-        return (lam - codes) % field.p
-    d = -_digits_vec(codes, field.p, field.k)
-    d += np.array(_decode(lam, field.p, field.k), dtype=np.int64)
-    d %= field.p
-    return _encode_vec(d, field.p)
+    return add_codes(field, lam, neg_codes(field, np.arange(field.q)))
 
 
 def mul_codes(field: FieldSpec, x: int, codes: np.ndarray) -> np.ndarray:

@@ -59,6 +59,11 @@ class FqSubset:
         """Cardinality of the subset with the zero element removed."""
         return self.size - bool(self.membership[0])
 
+    def zero_product_pairs(self, other: FqSubset) -> int:
+        """#{(x, y) in self x other : x*y = 0}, in closed form."""
+        zs, zo = bool(self.membership[0]), bool(other.membership[0])
+        return zs * other.size + zo * self.size - (zs and zo)
+
     def codes(self) -> np.ndarray:
         return np.nonzero(self.membership)[0].astype(np.int64)
 
@@ -266,15 +271,14 @@ def rep_product(field: FieldSpec, a: FqSubset, b: FqSubset) -> RepFn:
     """counts[z] = #{(x, y) in A x B : x * y = z}.
 
     The nonzero part is a cyclic convolution of dlog indicator vectors
-    over Z_{q-1}; the zero row has the closed form below.
+    over Z_{q-1}; the zero row has a closed form.
     """
     m = field.q - 1
     u = a.membership[field.exp].astype(np.int64)
     v = b.membership[field.exp].astype(np.int64)
     counts = np.zeros(field.q, dtype=np.int64)
     counts[field.exp] = _cyclic_convolve(u, v, m)
-    za, zb = bool(a.membership[0]), bool(b.membership[0])
-    counts[0] = za * b.size + zb * a.size - (za and zb)
+    counts[0] = a.zero_product_pairs(b)
     counts.flags.writeable = False
     return RepFn(counts=counts)
 

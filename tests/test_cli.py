@@ -2,13 +2,19 @@
 
 import csv
 import json
+import multiprocessing
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 import ffb.bounds
+import ffb.cli
+from ffb.bounds import karatsuba_report
 from ffb.cli import run
+from ffb.field import make_field
+from ffb.setsgen import derive_seed, parse_setspec, realize
 
 
 def run_lines(capsys, argv):
@@ -224,6 +230,79 @@ def test_scan_rejects_bad_worker_counts(capsys):
     assert run(["scan", "--p", "5", "--op", "sumprod", "--x", "random:2",
                 "--y", "random:2", "--seeds", "0"]) == 2
     capsys.readouterr()
+    for jobs in ("0", "-2"):
+        assert run(["scan", "--p", "5", "--op", "sumprod", "--x", "random:2",
+                    "--y", "random:2", "--jobs", jobs]) == 2
+        assert "--jobs must be >= 1" in capsys.readouterr().err
+
+
+def count_calls(monkeypatch, module, names, log):
+    """Wrap module.<name> for each name so every call, in this process or a
+    forked worker, appends the name to the file log; returns a reader."""
+    for name in names:
+        original = getattr(module, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(_name + "\n")
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    def calls() -> Counter:
+        counts = Counter(log.read_text().split()) if log.exists() else Counter()
+        log.unlink(missing_ok=True)
+        return counts
+
+    return calls
+
+
+SCAN_ARGS = ["scan", "--p", "5", "--op", "count", "--a", "random:3", "--b", "random:3",
+             "--c", "random:3", "--d", "random:3", "--no-timing"]
+
+
+def test_field_built_once_and_sets_realised_once_per_seed(capsys, monkeypatch, tmp_path):
+    calls = count_calls(monkeypatch, ffb.cli, ("make_field", "realize"), tmp_path / "log")
+    code, recs, _ = run_json(capsys, COUNT_ARGS[:-2] + ["--lambda", "all", "--no-timing"])
+    assert code == 0 and len(recs) == 4
+    assert calls() == {"make_field": 1, "realize": 4}
+    code, recs, _ = run_json(capsys, SCAN_ARGS + ["--lambda", "all", "--seeds", "3"])
+    assert code == 0 and len(recs) == 12
+    assert calls() == {"make_field": 1, "realize": 12}
+
+
+def test_bounds_measures_w_once_for_the_sweep(capsys, monkeypatch, tmp_path):
+    argv = ["bounds", "--p", "13", "--a", "random:5", "--b", "random:6", "--c", "random:4",
+            "--d", "random:5", "--lambda", "3", "--seed", "2", "--no-timing"]
+    calls = count_calls(monkeypatch, ffb.bounds, ("compute_W",), tmp_path / "log")
+    code, recs, _ = run_json(capsys, argv)
+    assert code == 0
+    # one W for the square-root check and its sweep, one inside the Cauchy check
+    assert calls() == {"compute_W": 2}
+    field = make_field(13)
+    a, b = (realize(field, parse_setspec(spec), derive_seed(2, slot))
+            for slot, spec in enumerate(("random:5", "random:6")))
+    want = []
+    for r in range(1, 9):
+        kr = karatsuba_report(field, a, b, 3, r=r)
+        want.append({"r": r, "bound": kr.bound_value, "ratio": kr.ratio})
+    assert recs[0]["karatsuba"] == want
+
+
+@pytest.mark.parametrize("lam", ["1", "all"], ids=["2-instances", "8-instances"])
+def test_pooled_scan_matches_serial(capsys, monkeypatch, tmp_path, lam):
+    # 2 instances in 2 runs, and 8 in 3 uneven runs (2, 3, 3)
+    argv = SCAN_ARGS + ["--lambda", lam, "--seeds", "2"]
+    calls = count_calls(monkeypatch, ffb.cli, ("make_field",), tmp_path / "log")
+    code, serial, _ = run_lines(capsys, argv + ["--jobs", "1"])
+    assert code == 0
+    assert calls() == {"make_field": 1}
+    code, pooled, _ = run_lines(capsys, argv + ["--jobs", "3"])
+    assert code == 0
+    assert pooled == serial
+    if multiprocessing.get_start_method() == "fork":
+        # forked workers keep the wrapper: one build here, one per run of instances
+        assert calls() == {"make_field": 1 + min(3, len(serial))}
 
 
 def test_script_replay(tmp_path, capsys):
