@@ -188,7 +188,7 @@ def _compute(op: str, field: FieldSpec, sets: dict[str, FqSubset],
         return {"n": n}, True
     if op == "exceptional":
         e = counters.exceptional_set(field, sets["f"], sets["g"], sets["h"])
-        ok = counters.verify_sarkozy_identity(field, sets["f"], sets["g"], sets["h"])
+        ok = counters.verify_sarkozy_identity(field, sets["f"], sets["g"], sets["h"], e)
         ratio = e.size * sets["f"].size * sets["g"].size * sets["h"].size / field.q ** 3
         return {"e_size": e.size, "sarkozy_ok": ok, "ratio": ratio}, ok
     if op == "solvability":
@@ -281,11 +281,30 @@ def _walk(field: FieldSpec, instances: list[tuple[int, int | None, int | None]],
         yield record, ok
 
 
-def _run_chunk(task: tuple) -> list[tuple[dict, bool]]:
+def _run_chunk(task: tuple) -> tuple[list[tuple[dict, bool]], FfbError | None]:
     """One pool task: a contiguous run of instances on a field rebuilt from
-    the validated parameters, so no table crosses a process boundary."""
+    the validated parameters, so no table crosses a process boundary.
+
+    Returns the outcomes computed before the first failure together with
+    that failure (None when every instance ran).
+    """
     field_params, instances, walk_args = task
-    return list(_walk(make_field(**field_params), instances, *walk_args))
+    done: list[tuple[dict, bool]] = []
+    try:
+        for outcome in _walk(make_field(**field_params), instances, *walk_args):
+            done.append(outcome)
+    except FfbError as exc:
+        return done, exc
+    return done, None
+
+
+def _until_failure(chunks) -> Iterator[tuple[dict, bool]]:
+    """The outcomes of the pool tasks in order, raising the first failure
+    once every outcome before it is out."""
+    for done, error in chunks:
+        yield from done
+        if error is not None:
+            raise error
 
 
 def _flatten(record: dict, prefix: str = "") -> dict:
@@ -380,6 +399,8 @@ def _run_instances(args) -> int:
     derive_seed(--seed, s), s < --seeds.  Serially each record is written
     as it is computed; --jobs N > 1 walks at most N contiguous runs of
     instances in worker processes and writes their records in index order.
+    Either way a failing instance ends the command after the records of
+    every instance before it.
     """
     scan = args.op == "scan"
     op = args.scan_op if scan else args.op
@@ -407,7 +428,7 @@ def _run_instances(args) -> int:
         cuts = [len(instances) * c // chunks for c in range(chunks + 1)]
         tasks = [(field_params, instances[lo:hi], walk_args) for lo, hi in zip(cuts, cuts[1:])]
         with concurrent.futures.ProcessPoolExecutor(max_workers=chunks) as pool:
-            outcomes = [out for done in pool.map(_run_chunk, tasks) for out in done]
+            outcomes = _until_failure(list(pool.map(_run_chunk, tasks)))
     emitter = _Emitter(args.format)
     all_ok = True
     for record, ok in outcomes:

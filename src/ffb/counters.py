@@ -18,7 +18,7 @@ import numpy as np
 
 from .characters import repfn_char_sums, set_char_sums
 from .errors import BadParam, RoundingDrift
-from .field import FieldSpec, add_codes, sub_perm
+from .field import FieldSpec, sub_perm
 from .repfn import (
     FqSubset,
     RepFn,
@@ -118,18 +118,17 @@ def count_general(field: FieldSpec, pairs: list[tuple[FqSubset, FqSubset]], lam:
 def exceptional_set(field: FieldSpec, f: FqSubset, g: FqSubset, h: FqSubset) -> FqSubset:
     """All lam in F_q with no solution of f + g*h = lam, as a subset.
 
-    Walks the support of the G*H representation function once per element
-    of F, marking every attainable value; cost O(q * #F)."""
-    supp = rep_product(field, g, h).support()
-    attainable = np.zeros(field.q, dtype=bool)
-    for x in f.codes():
-        attainable[add_codes(field, int(x), supp)] = True
-    return FqSubset.from_mask(~attainable)
+    lam is attainable exactly when it lies in F + G*H, so the set is where
+    the additive convolution of F with the product set G*H (the support of
+    r_GH) vanishes."""
+    gh = FqSubset.from_mask(rep_product(field, g, h).counts > 0)
+    return FqSubset.from_mask(rep_sum(field, f, gh).counts == 0)
 
 
 def verify_sarkozy_identity(field: FieldSpec, f: FqSubset, g: FqSubset,
-                            h: FqSubset) -> bool:
-    """Check that the no-solution set is invisible to the additive counter.
+                            h: FqSubset, e: FqSubset) -> bool:
+    """Check that the no-solution set e = exceptional_set(field, f, g, h) is
+    invisible to the additive counter.
 
     For e with f + g*h = e unsolvable, the equation (-e) + f = (-g)*h has
     no solutions either, since it rearranges to f + g*h = e.  Negating the
@@ -137,6 +136,5 @@ def verify_sarkozy_identity(field: FieldSpec, f: FqSubset, g: FqSubset,
     the rearrangement an identity; without it the count can be positive
     for asymmetric product sets.  Returns True when the count is zero.
     """
-    e = exceptional_set(field, f, g, h)
     return count_additive(field, negate_subset(field, e), f,
                           negate_subset(field, g), h) == 0

@@ -9,16 +9,26 @@ Moduli are coefficient tuples in ascending order, length k + 1, monic.
 When no modulus is supplied, the constructor picks the monic irreducible
 polynomial of degree k whose non-leading coefficients form the smallest
 base-p integer (equivalently, smallest by lexicographic comparison of the
-descending coefficient tuple).
+descending coefficient tuple).  Candidates go in that order, those with a
+zero constant term skipped, through Ben-Or's irreducibility test (on
+bit-packed ints when p = 2), which also refuses a reducible supplied
+modulus.
 
-Arithmetic here is honest polynomial arithmetic.  The discrete-log tables
-built at construction time are validated against it by the test suite and
-are the basis of the vectorized helpers at the bottom of the module.
+The generator is the least code c with c^((q-1)/ell) != 1 for every prime
+ell dividing q - 1: builtin pow for k = 1, and for k > 1 a batched
+square-and-multiply on the float64 k x k matrices of "multiply by c".
+The exp table is built by doubling, rows [n, 2n) of its digits being
+rows [0, n) times the matrix of g^n, and then in blocks.  Every float
+product and reduction mod p in these steps is an exact integer operation.
+
+The scalar functions (field_add ... field_inv) are honest polynomial
+arithmetic, independent of the tables; the test suite checks the tables
+against them.  The vectorized helpers at the bottom of the module are
+built on the tables.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 
@@ -120,29 +130,98 @@ def _poly_mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
     return _poly_mod(prod, m, p)
 
 
+def _poly_powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
+    """a^e mod m for e >= 1, left-to-right square-and-multiply."""
+    out = a
+    for bit in bin(e)[3:]:
+        out = _poly_mulmod(out, out, m, p)
+        if bit == "1":
+            out = _poly_mulmod(out, a, m, p)
+    return out
+
+
+def _poly_gcd_degree(a: list[int], m: list[int], p: int) -> int:
+    """Degree of gcd(a, m) over F_p for monic m (k when a = 0), by Euclid."""
+    a, b = m, [c % p for c in a]
+    while True:
+        while b and not b[-1]:
+            b.pop()
+        if not b:
+            return len(a) - 1
+        inv = pow(b[-1], p - 2, p)
+        b = [c * inv % p for c in b]
+        a, b = b, _poly_mod(a, b, p)
+
+
+def _gf2_mod(a: int, m: int) -> int:
+    """a mod m over F_2, polynomials packed as ints (bit i holds x^i)."""
+    deg_m = m.bit_length() - 1
+    while a.bit_length() > deg_m:
+        a ^= m << (a.bit_length() - 1 - deg_m)
+    return a
+
+
+def _gf2_is_irreducible(m: int) -> bool:
+    """_poly_is_irreducible over F_2 on packed ints: squaring h spreads its
+    bits, and a remainder is a few shifts and XORs instead of list loops."""
+    h = 2
+    for _ in range((m.bit_length() - 1) // 2):
+        h = _gf2_mod(sum(1 << 2 * i for i in range(h.bit_length()) if h >> i & 1), m)
+        a, b = m, h ^ 2
+        while b:
+            a, b = b, _gf2_mod(a, b)
+        if a > 1:
+            return False
+    return True
+
+
 def _poly_is_irreducible(m: list[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg(m)/2."""
+    """Ben-Or's test: monic m of degree k is irreducible over F_p iff
+    gcd(x^(p^i) - x, m) = 1 for every i <= k/2.
+
+    A reducible m has an irreducible factor of some degree d <= k/2, and
+    that factor divides x^(p^d) - x; an irreducible m divides x^(p^i) - x
+    only when k divides i, so every gcd is 1.  h = x^(p^i) mod m is carried
+    from one i to the next by one p-th power, so the test costs
+    O(k log p) products and k/2 gcds, and a reducible m usually stops at
+    the degree of its least factor.
+    """
+    if p == 2:
+        return _gf2_is_irreducible(_encode(m, 2))
     k = len(m) - 1
-    for d in range(1, k // 2 + 1):
-        for lower in range(p ** d):
-            div = _decode(lower, p, d) + [1]
-            rem = _poly_mod(m, div, p)
-            if not any(rem):
-                return False
+    h = [0, 1] + [0] * (k - 2)
+    for _ in range(k // 2):
+        h = _poly_powmod(h, p, m, p)
+        if _poly_gcd_degree([h[0], h[1] - 1] + h[2:], m, p):
+            return False
     return True
 
 
 def _least_irreducible(p: int, k: int) -> tuple[int, ...]:
+    """The monic irreducible of degree k >= 2 with the least base-p code of
+    its lower coefficients; a zero constant term means x divides it."""
     for lower in range(p ** k):
-        m = _decode(lower, p, k) + [1]
-        if _poly_is_irreducible(m, p):
-            return tuple(m)
+        if lower % p:
+            m = _decode(lower, p, k) + [1]
+            if _poly_is_irreducible(m, p):
+                return tuple(m)
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
 # ----------------------------------------------------------------------
 # construction
 # ----------------------------------------------------------------------
+
+# The exp table stops doubling once its digit block holds this many
+# entries, and later blocks are products of that size.  2^14 made
+# make_field(2, 20) 68 ms instead of 86 ms, but at q = 4096 its 200 KB
+# temporaries added 0.3 MB to peak RSS; past about 4096 x 20 digits
+# OpenBLAS threads the product, which then took 4-8 ms instead of 0.06 ms
+# on two vCPUs.
+_EXP_BLOCK_DIGITS = 1 << 13
+# Generator candidates per batch stop growing at this many matrix entries.
+_GEN_BATCH_ENTRIES = 1 << 15
+
 
 def _q_cap(max_q: int | None) -> int:
     if max_q is not None:
@@ -157,58 +236,122 @@ def _q_cap(max_q: int | None) -> int:
 
 
 def _raw_pow(x: int, e: int, p: int, k: int, modulus: tuple[int, ...]) -> int:
-    """x^e by square-and-multiply on honest arithmetic (no tables)."""
+    """x^e for e >= 1 by square-and-multiply on honest arithmetic (no tables)."""
     if k == 1:
         return pow(x, e, p)
-    result = [1] + [0] * (k - 1)
-    base = _decode(x, p, k)
-    m = list(modulus)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, m, p)
-        base = _poly_mulmod(base, base, m, p)
-        e >>= 1
-    return _encode(result, p)
+    return _encode(_poly_powmod(_decode(x, p, k), e, list(modulus), p), p)
+
+
+def _mod_p(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, for integer-valued float64 entries 0 <= x <= 2^53 - p.
+
+    With t = floor(x / p): x / p >= t, so its rounded quotient is >= t, and
+    t + 1 - x / p >= 1 / p >= (t + 1) / 2^53 because p (t + 1) <= x + p <=
+    2^53, which exceeds half the float spacing below t + 1, so the rounded
+    quotient stays below t + 1.  Its floor is t; t * p <= x and x - t * p
+    are integers below 2^53, hence exact.
+    """
+    t = x / p
+    np.floor(t, out=t)
+    t *= p
+    x -= t
+    return x
+
+
+def _mul_matrices(codes: np.ndarray, p: int, k: int,
+                  modulus: tuple[int, ...]) -> np.ndarray:
+    """Float64 k x k matrix of "multiply by c" for each code c: row i holds
+    the digits of c * x^i, so digits(a) @ M(c) = digits(c * a) mod p.
+
+    Row i of M(c) is sum_j c_j * digits(x^(i+j) mod m), one product of the
+    digit rows with the table of those digits.  Every entry, here and in
+    any product of two such matrices or of a digit vector and one, is a sum
+    of k products of integers in [0, p), so it is an integer of at most
+    k * (p - 1)^2 <= 2^53 - p (make_field refuses larger fields): float64
+    holds it, and each partial sum, exactly in any summation order, and
+    _mod_p reduces it exactly.
+    """
+    powers = np.zeros((2 * k - 1, k))
+    powers[:k] = np.eye(k)
+    top = [-c % p for c in modulus[:k]]
+    row = powers[k - 1].tolist()
+    for t in range(k, 2 * k - 1):
+        lead = row[-1]
+        row = [0] + row[:-1]
+        if lead:
+            row = [(a + lead * b) % p for a, b in zip(row, top)]
+        powers[t] = row
+    table = powers[np.add.outer(np.arange(k), np.arange(k))].reshape(k, k * k)
+    digits = (codes[:, None] // p ** np.arange(k)) % p
+    return _mod_p(digits.astype(np.float64) @ table, p).reshape(-1, k, k)
 
 
 def _search_generator(p: int, k: int, q: int, modulus: tuple[int, ...]) -> int:
+    """Least code c with c^((q-1)/ell) != 1 for every prime ell | q - 1.
+
+    For k = 1 by builtin pow.  Otherwise candidates go in batches of
+    growing size, and each batch runs one square-and-multiply for all of
+    its exponents at once on the matrices of "multiply by c" (exact, see
+    _mul_matrices): below the k rows of M(c)^(2^j) sit one digit row per
+    exponent e, starting at the digits of 1, and every step multiplies all
+    of them by M(c)^(2^j), keeping the product in the rows of the
+    exponents with bit j set.  The rows end at the digits of c^e.
+    """
     group = q - 1
-    primes = _prime_factors(group)
-    for cand in range(1, q):
-        if all(_raw_pow(cand, group // ell, p, k, modulus) != 1 for ell in primes):
-            return cand
+    exps = [group // ell for ell in _prime_factors(group)]
+    if k == 1:
+        return next(c for c in range(1, q) if all(pow(c, e, p) != 1 for e in exps))
+    keep = np.array([[not (e >> j) & 1 for e in exps] for j in range(group.bit_length())])
+    ells = len(exps)
+    start, size = 1, 8
+    while start < q:
+        cands = np.arange(start, min(start + size, q), dtype=np.int64)
+        state = np.zeros((len(cands), ells + k, k))
+        state[:, :ells, 0] = 1
+        state[:, ells:] = _mul_matrices(cands, p, k, modulus)
+        for bit_clear in keep:
+            nxt = _mod_p(state @ state[:, ells:], p)
+            np.copyto(nxt[:, :ells], state[:, :ells], where=bit_clear[:, None])
+            state = nxt
+        powers = state[:, :ells]
+        is_one = (powers[:, :, 0] == 1) & ~powers[:, :, 1:].any(axis=2)
+        is_gen = ~is_one.any(axis=1)
+        if is_gen.any():
+            return int(cands[is_gen.argmax()])
+        start += len(cands)
+        size = min(2 * size, max(8, _GEN_BATCH_ENTRIES // (k * k)))
     raise AssertionError("cyclic group without generator")  # unreachable
 
 
 def _exp_table(p: int, k: int, gen: int, modulus: tuple[int, ...]) -> np.ndarray:
-    """exp[t] = code of gen^t for t < q - 1, built in blocks of B ~ sqrt(q - 1).
+    """exp[t] = code of gen^t for t < q - 1, by doubling then in blocks.
 
-    The first block gen^0 .. gen^(B-1) is stepped out by honest polynomial
-    multiplication.  Multiplication by h = gen^B is an F_p-linear map on
-    digit vectors, so block s + 1 is block s times the k x k matrix of h,
-    one matmul per block.  The matmul runs in float64, whose entries stay
-    below k * p^2; Overflow refuses a field where that could exceed 2^53.
+    The table holds the digits of gen^0 .. gen^(n-1) above the k rows of
+    M(gen^n).  One product with M(gen^n) turns both into the next table:
+    the powers into gen^n .. gen^(2n-1), and M(gen^n) into M(gen^2n).  Once
+    the powers hold _EXP_BLOCK_DIGITS digits, each later block is the one
+    before it times the last M(gen^n).  Every product and its reduction is
+    exact (see _mul_matrices), and the codes digits @ p^i are integers
+    below q.
     """
-    if k * (p - 1) ** 2 >= 1 << 53:
-        raise Overflow(f"F_{p}^{k} is too large for exact float64 table steps")
     m = p ** k - 1
-    block = math.isqrt(m - 1) + 1
-    mod = list(modulus)
-    gd = _decode(gen, p, k)
-    xd = [1] + [0] * (k - 1)
-    digits = np.empty((block, k), dtype=np.int64)
-    for t in range(block):
-        digits[t] = xd
-        xd = _poly_mulmod(xd, gd, mod, p)
-    # row i holds the digits of h * x^i, so digits @ step multiplies each row by h
-    step = np.array([_poly_mulmod(xd, [0] * i + [1], mod, p) for i in range(k)],
-                    dtype=np.float64)
-    powers = p ** np.arange(k, dtype=np.int64)
-    exp = np.empty(block * (m // block + 1), dtype=np.int64)
-    for start in range(0, m, block):
-        exp[start:start + block] = digits @ powers
-        digits = (digits @ step).astype(np.int64) % p
-    return exp[:m].copy()
+    place = float(p) ** np.arange(k)
+    table = np.zeros((1 + k, k))
+    table[0, 0] = 1
+    table[1:] = _mul_matrices(np.array([gen]), p, k, modulus)[0]
+    n = 1
+    while n < m and n * k < _EXP_BLOCK_DIGITS:
+        table = np.concatenate((table[:n], _mod_p(table @ table[n:], p)))
+        n *= 2
+    digits, step = table[:min(n, m)], table[n:]
+    exp = np.empty(m, dtype=np.int64)
+    done = len(digits)
+    exp[:done] = digits @ place
+    while done < m:
+        digits = _mod_p(digits[: m - done] @ step, p)
+        exp[done:done + len(digits)] = digits @ place
+        done += len(digits)
+    return exp
 
 
 def make_field(p: int, k: int = 1, modulus=None, max_q: int | None = None) -> FieldSpec:
@@ -216,7 +359,8 @@ def make_field(p: int, k: int = 1, modulus=None, max_q: int | None = None) -> Fi
 
     Raises NotPrime for composite p, Reducible for a modulus that factors,
     Overflow when p^k exceeds the cap (default 2^20, overridable via the
-    max_q argument or the FFB_MAX_Q environment variable).
+    max_q argument or the FFB_MAX_Q environment variable) or when
+    k * (p - 1)^2 > 2^53 - p, past which the float64 matrix steps could round.
     """
     if not isinstance(p, int) or not isinstance(k, int):
         raise BadParam("p and k must be integers")
@@ -244,6 +388,8 @@ def make_field(p: int, k: int = 1, modulus=None, max_q: int | None = None) -> Fi
     else:
         mod = _least_irreducible(p, k)
 
+    if k * (p - 1) ** 2 + p > 1 << 53:
+        raise Overflow(f"F_{p}^{k} is too large for exact float64 table steps")
     gen = _search_generator(p, k, q, mod)
 
     exp = _exp_table(p, k, gen, mod)

@@ -247,7 +247,8 @@ def criterion_sarkozy_identity(q_max: int = 13, tuples: int = GRID_TUPLES,
     for field in grid_fields(q_max):
         for idx in range(tuples):
             f, g, h, _ = grid_tuple(field, idx, 4, base_seed)
-            if not counters.verify_sarkozy_identity(field, f, g, h):
+            e = counters.exceptional_set(field, f, g, h)
+            if not counters.verify_sarkozy_identity(field, f, g, h, e):
                 return False, f"identity fails q={field.q} tuple={idx}"
             checked += 1
     return True, f"{checked} triples, identity holds on all"

@@ -1,6 +1,8 @@
 """Front-end behavior: records, formats, exit codes, scan and script modes."""
 
+import concurrent.futures
 import csv
+import functools
 import json
 import multiprocessing
 import subprocess
@@ -13,6 +15,7 @@ import ffb.bounds
 import ffb.cli
 from ffb.bounds import karatsuba_report
 from ffb.cli import run
+from ffb.errors import RoundingDrift
 from ffb.field import make_field
 from ffb.setsgen import derive_seed, parse_setspec, realize
 
@@ -303,6 +306,28 @@ def test_pooled_scan_matches_serial(capsys, monkeypatch, tmp_path, lam):
     if multiprocessing.get_start_method() == "fork":
         # forked workers keep the wrapper: one build here, one per run of instances
         assert calls() == {"make_field": 1 + min(3, len(serial))}
+
+
+def test_pooled_scan_writes_the_records_before_a_failure(capsys, monkeypatch):
+    # forked workers see the patched _compute, whatever the default start method
+    compute = ffb.cli._compute
+
+    def failing(op, field, sets, lam, extra):
+        if lam == 3:
+            raise RoundingDrift(f"injected at lambda {lam}")
+        return compute(op, field, sets, lam, extra)
+
+    monkeypatch.setattr(ffb.cli, "_compute", failing)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+        concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+    argv = SCAN_ARGS + ["--lambda", "all", "--seeds", "2"]
+    code, serial, serial_err = run_lines(capsys, argv + ["--jobs", "1"])
+    assert code == 1
+    assert [json.loads(line)["lambda"] for line in serial] == [1, 2]
+    assert "RoundingDrift: injected at lambda 3" in serial_err
+    code, pooled, pooled_err = run_lines(capsys, argv + ["--jobs", "2"])
+    assert code == 1
+    assert (pooled, pooled_err) == (serial, serial_err)
 
 
 def test_script_replay(tmp_path, capsys):

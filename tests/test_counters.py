@@ -130,12 +130,15 @@ def test_exceptional_set_matches_brute(f11):
 
 def test_sarkozy_identity_known_and_seeded(f5, f7, f11):
     star7 = subset_from_codes(f7, range(1, 7))
-    assert verify_sarkozy_identity(f7, star7, star7, star7)
+    assert verify_sarkozy_identity(f7, star7, star7, star7,
+                                   exceptional_set(f7, star7, star7, star7))
     zero5 = subset_from_codes(f5, [0])
-    assert verify_sarkozy_identity(f5, zero5, zero5, full_subset(f5))
+    full5 = full_subset(f5)
+    assert verify_sarkozy_identity(f5, zero5, zero5, full5,
+                                   exceptional_set(f5, zero5, zero5, full5))
     for idx in range(20):
         f, g, h = seeded_sets(f11, derive_seed(47, idx), 3)
-        assert verify_sarkozy_identity(f11, f, g, h)
+        assert verify_sarkozy_identity(f11, f, g, h, exceptional_set(f11, f, g, h))
 
 
 def test_counts_monotone_in_each_set(f9):

@@ -1,10 +1,25 @@
 """Field construction, table integrity, and arithmetic consistency."""
 
+import functools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ffb.field
 from ffb.errors import BadParam, DivideByZero, NotPrime, Overflow, Reducible
 from ffb.field import (
+    _decode,
+    _encode,
+    _is_prime,
+    _mod_p,
+    _mul_matrices,
+    _poly_is_irreducible,
+    _poly_mod,
+    _prime_factors,
+    _raw_pow,
     add_codes,
     field_add,
     field_inv,
@@ -212,3 +227,153 @@ def test_vectorized_helpers_match_scalar(f9, f7, f16):
         assert neg_codes(f, codes).tolist() == [field_neg(f, c) for c in range(f.q)]
         for lam in range(f.q):
             assert sub_perm(f, lam).tolist() == [field_sub(f, lam, c) for c in range(f.q)]
+
+
+# ----------------------------------------------------------------------
+# oracles: the construction by trial division and list arithmetic
+# ----------------------------------------------------------------------
+
+def oracle_is_irreducible(m, p):
+    """Trial division by every monic polynomial of degree <= deg(m)/2."""
+    k = len(m) - 1
+    for d in range(1, k // 2 + 1):
+        for lower in range(p ** d):
+            if not any(_poly_mod(m, _decode(lower, p, d) + [1], p)):
+                return False
+    return True
+
+
+def oracle_least_irreducible(p, k):
+    for lower in range(p ** k):
+        m = _decode(lower, p, k) + [1]
+        if oracle_is_irreducible(m, p):
+            return tuple(m)
+    raise AssertionError("no irreducible polynomial found")
+
+
+def oracle_generator(p, k, modulus):
+    """Least code of order q - 1, by square-and-multiply on lists per candidate."""
+    group = p ** k - 1
+    primes = _prime_factors(group)
+    for cand in range(1, group + 1):
+        if all(_raw_pow(cand, group // ell, p, k, modulus) != 1 for ell in primes):
+            return cand
+    raise AssertionError("cyclic group without generator")
+
+
+def oracle_tables(f, gen):
+    """(exp, dlog) by stepping out the powers of gen with field_mul."""
+    exp = np.empty(f.q - 1, dtype=np.int64)
+    x = 1
+    for t in range(f.q - 1):
+        exp[t] = x
+        x = field_mul(f, x, gen)
+    dlog = np.full(f.q, -1, dtype=np.int64)
+    dlog[exp] = np.arange(f.q - 1)
+    return exp, dlog
+
+
+def oracle_shapes():
+    ext = [(p, k) for p in range(2, 65) if _is_prime(p)
+           for k in range(2, 13) if p ** k <= 4096]
+    return ext + [(p, 1) for p in range(2, 2001) if _is_prime(p)]
+
+
+def test_construction_matches_trial_division_oracle():
+    shapes = oracle_shapes()
+    assert len(shapes) == 303 + 40
+    for p, k in shapes:
+        f = make_field(p, k)
+        mod = oracle_least_irreducible(p, k) if k > 1 else (0, 1)
+        assert f.modulus == mod, (p, k)
+        gen = oracle_generator(p, k, mod)
+        assert f.generator == gen, (p, k)
+        exp, dlog = oracle_tables(f, gen)
+        assert f.exp.tobytes() == exp.tobytes(), (p, k)
+        assert f.dlog.tobytes() == dlog.tobytes(), (p, k)
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8),
+                                 (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (13, 2)])
+def test_irreducibility_matches_trial_division_on_every_monic(p, k):
+    for lower in range(p ** k):
+        m = _decode(lower, p, k) + [1]
+        assert _poly_is_irreducible(m, p) == oracle_is_irreducible(m, p), (p, k, m)
+
+
+def test_supplied_moduli_match_the_oracle():
+    # every irreducible supplied modulus builds the field the oracle describes
+    for p, k in [(2, 4), (2, 6), (3, 3), (5, 2)]:
+        for lower in range(p ** k):
+            m = _decode(lower, p, k) + [1]
+            if not oracle_is_irreducible(m, p):
+                with pytest.raises(Reducible):
+                    make_field(p, k, modulus=m)
+                continue
+            f = make_field(p, k, modulus=m)
+            assert f.modulus == tuple(m)
+            gen = oracle_generator(p, k, tuple(m))
+            assert f.generator == gen
+            assert f.exp.tobytes() == oracle_tables(f, gen)[0].tobytes()
+
+
+@pytest.mark.parametrize("shape,modulus,generator", [
+    ((2, 20), (1, 0, 0, 1) + (0,) * 16 + (1,), 2),
+    ((3, 12), (2, 0, 1) + (0,) * 9 + (1,), 14),
+    ((5, 8), (2,) + (0,) * 7 + (1,), 6),
+    ((7, 7), (1, 6) + (0,) * 5 + (1,), 14),
+    ((1021, 2), (2, 0, 1), 1035),
+    ((1048573, 1), (0, 1), 2),
+])
+def test_modulus_and_generator_at_the_cap(shape, modulus, generator):
+    f = make_field(*shape)
+    assert (f.modulus, f.generator) == (modulus, generator)
+    m = f.q - 1
+    assert np.array_equal(f.dlog[f.exp], np.arange(m))
+    for i in range(20):
+        t = stream_value(10, i) % m
+        assert f.exp[t] == power(f, f.generator, t)
+
+
+def test_reducible_modulus_rejected_at_large_p():
+    # x^2 over F_1021
+    with pytest.raises(Reducible):
+        make_field(1021, 2, modulus=[0, 0, 1])
+
+
+@functools.cache
+def _field(p, k):
+    return make_field(p, k)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([(2, 1), (13, 1), (2, 4), (3, 3), (5, 2), (2, 12), (7, 3),
+                        (1021, 2), (3, 7)]),
+       st.integers(0, 1 << 40), st.integers(0, 1 << 40))
+def test_mul_matrix_applies_field_mul(shape, h, a):
+    f = _field(*shape)
+    p, k = shape
+    h, a = h % f.q, a % f.q
+    matrix = _mul_matrices(np.array([h]), p, k, f.modulus)[0]
+    digits = np.array(_decode(a, p, k), dtype=np.float64)
+    product = _mod_p(digits @ matrix, p)
+    assert _encode([int(d) for d in product], p) == field_mul(f, h, a)
+
+
+@pytest.mark.parametrize("shape", [(2, 20), (3, 12), (1021, 2)])
+def test_construction_does_bounded_scalar_work(shape, monkeypatch):
+    # Ben-Or costs O(k log p) products and k/2 gcds per candidate modulus
+    # (on packed ints when p = 2); trial division and per-candidate
+    # generator loops cost thousands
+    calls = {"_poly_mulmod": 0, "_poly_mod": 0, "_gf2_mod": 0}
+    for name in calls:
+        original = getattr(ffb.field, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(ffb.field, name, counted)
+    p, k = shape
+    make_field(p, k)
+    assert sum(calls.values()) <= 4 * k * math.log2(p ** k), calls
