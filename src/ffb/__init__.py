@@ -8,6 +8,7 @@ from .bounds import (
     karatsuba_bound,
     karatsuba_report,
     solvability_threshold_check,
+    vinogradov_bound,
     vinogradov_check,
 )
 from .characters import (
@@ -18,12 +19,15 @@ from .characters import (
     shifted_product_char_sums,
 )
 from .counters import (
+    additive_count,
+    bilinear_count,
     count_additive,
     count_additive_charform,
     count_bilinear,
     count_bilinear_charform,
     count_general,
     exceptional_set,
+    fold_products,
     verify_sarkozy_identity,
 )
 from .errors import (
@@ -52,6 +56,7 @@ from .field import (
     find_generator,
     make_field,
 )
+from .instance import Instance
 from .repfn import (
     FqSubset,
     RepFn,

@@ -8,6 +8,11 @@ event, not a report line.  The Cauchy error check bounds the character
 route's residual term by W * sqrt(#C* * #D*) the same way.  The higher
 moment bound and the solvability threshold are report-style: they carry
 observed ratios and never reject on their own.
+
+Every check takes what it measures as pieces: W and V from their tables,
+the Cauchy and solvability checks from the character route's pieces, so
+one instance measures each once (ffb.instance.Instance).
+vinogradov_check and karatsuba_report measure afresh from the sets.
 """
 
 from __future__ import annotations
@@ -17,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import repfn_char_sums, shifted_product_char_sums
-from .counters import count_bilinear, count_bilinear_charform
+from .characters import CharSumTable, repfn_char_sums, shifted_product_char_sums
+from .counters import count_bilinear_charform
 from .errors import InvariantViolation, LambdaZero, NoNontrivialCharacter
 from .field import FieldSpec
-from .repfn import FqSubset, rep_sum
+from .repfn import FqSubset, RepFn, rep_sum
 
 # Absolute slack for comparisons between float maxima.
 SLACK = 1e-9
@@ -65,30 +70,26 @@ def _ratio(measured: float, bound: float) -> float:
     return 0.0 if measured == 0.0 else math.inf
 
 
-def compute_W(field: FieldSpec, a: FqSubset, b: FqSubset, lam: int) -> BoundReport:
-    """Max modulus over nontrivial characters of sum of chi(a*b - lam)."""
+def compute_W(field: FieldSpec, t: CharSumTable) -> BoundReport:
+    """W from its table t = shifted_product_char_sums(field, a, b, lam): the
+    max modulus over nontrivial characters of sum of chi(a*b - lam)."""
     _require_nontrivial(field)
-    table = shifted_product_char_sums(field, a, b, lam)
-    w, j = _max_nontrivial(table.values)
+    w, j = _max_nontrivial(t.values)
     return BoundReport(w_or_v=w, argmax_j=j)
 
 
-def compute_V(field: FieldSpec, a: FqSubset, b: FqSubset) -> BoundReport:
-    """Max modulus over nontrivial characters of sum of chi(a + b)."""
+def compute_V(field: FieldSpec, t: CharSumTable) -> BoundReport:
+    """V from its table t = repfn_char_sums(field, rep_sum(field, a, b)): the
+    max modulus over nontrivial characters of sum of chi(a + b)."""
     _require_nontrivial(field)
-    table = repfn_char_sums(field, rep_sum(field, a, b))
-    v, j = _max_nontrivial(table.values)
+    v, j = _max_nontrivial(t.values)
     return BoundReport(w_or_v=v, argmax_j=j)
 
 
-def vinogradov_check(field: FieldSpec, a: FqSubset, b: FqSubset,
-                     lam: int | None = None) -> BoundReport:
-    """Assertable square-root bound: measured max <= sqrt(q * #A * #B).
-
-    With lam given the measured side is W at that lam, otherwise V.
-    """
-    measured = compute_W(field, a, b, lam) if lam is not None else compute_V(field, a, b)
-    bound = math.sqrt(field.q * a.size * b.size)
+def vinogradov_bound(field: FieldSpec, measured: BoundReport, na: int, nb: int) -> BoundReport:
+    """Assertable square-root bound on a measured W or V for sets of sizes
+    na and nb: measured max <= sqrt(q * na * nb)."""
+    bound = math.sqrt(field.q * na * nb)
     return BoundReport(
         w_or_v=measured.w_or_v,
         bound_value=bound,
@@ -97,6 +98,16 @@ def vinogradov_check(field: FieldSpec, a: FqSubset, b: FqSubset,
         strict=measured.w_or_v < bound,
         argmax_j=measured.argmax_j,
     )
+
+
+def vinogradov_check(field: FieldSpec, a: FqSubset, b: FqSubset,
+                     lam: int | None = None) -> BoundReport:
+    """vinogradov_bound on W at lam measured from the sets, or on V without lam."""
+    if lam is not None:
+        measured = compute_W(field, shifted_product_char_sums(field, a, b, lam))
+    else:
+        measured = compute_V(field, repfn_char_sums(field, rep_sum(field, a, b)))
+    return vinogradov_bound(field, measured, a.size, b.size)
 
 
 def karatsuba_bound(field: FieldSpec, w: BoundReport, na: int, nb: int,
@@ -127,14 +138,14 @@ def karatsuba_bound(field: FieldSpec, w: BoundReport, na: int, nb: int,
 def karatsuba_report(field: FieldSpec, a: FqSubset, b: FqSubset, lam: int,
                      r: int = 1, use_p: bool = False) -> BoundReport:
     """karatsuba_bound on W measured at lam, report only."""
-    return karatsuba_bound(field, compute_W(field, a, b, lam), a.size, b.size, r, use_p)
+    w = compute_W(field, shifted_product_char_sums(field, a, b, lam))
+    return karatsuba_bound(field, w, a.size, b.size, r, use_p)
 
 
-def cauchy_error_check(field: FieldSpec, a: FqSubset, b: FqSubset, c: FqSubset,
-                       d: FqSubset, lam: int) -> BoundReport:
-    """Assertable bound |err| <= W * sqrt(#C* * #D*) on the character route."""
-    _, _, err = count_bilinear_charform(field, a, b, c, d, lam)
-    w = compute_W(field, a, b, lam)
+def cauchy_error_check(field: FieldSpec, w: BoundReport, err: float, c: FqSubset,
+                       d: FqSubset) -> BoundReport:
+    """Assertable bound |err| <= W * sqrt(#C* * #D*) on the error term err of
+    the character route at lam, with w = compute_W at the same lam."""
     bound = w.w_or_v * math.sqrt(c.star_size() * d.star_size())
     measured = abs(err)
     return BoundReport(
@@ -147,20 +158,23 @@ def cauchy_error_check(field: FieldSpec, a: FqSubset, b: FqSubset, c: FqSubset,
     )
 
 
-def solvability_threshold_check(field: FieldSpec, a: FqSubset, b: FqSubset,
-                                c: FqSubset, d: FqSubset, lam: int) -> BoundReport:
+def solvability_threshold_check(field: FieldSpec, r_ab: RepFn, t_ab: CharSumTable,
+                                neg_c: FqSubset, d: FqSubset, cd: np.ndarray, lam: int,
+                                n: int) -> BoundReport:
     """Sufficient condition main > sqrt(q * #A * #B * #C* * #D*) for n > 0.
 
-    When the condition fires the equation a*b + c*d = lam is guaranteed
-    solvable, which the exact counter confirms.  empirical_delta records
-    log base q of main/|err| as the observed exponent gap.
+    Takes the pieces of count_bilinear_charform at lam and the exact count
+    n of a*b + c*d = lam.  When the condition fires the equation is
+    guaranteed solvable, which n confirms.  empirical_delta records log
+    base q of main/|err| as the observed exponent gap.  lam = 0 is refused
+    before the character route runs.
     """
     if lam == 0:
         raise LambdaZero("solvability threshold is stated for nonzero targets")
-    _, main, err = count_bilinear_charform(field, a, b, c, d, lam)
-    threshold = math.sqrt(field.q * a.size * b.size * c.star_size() * d.star_size())
+    _, main, err = count_bilinear_charform(field, r_ab, t_ab, neg_c, d, cd, lam)
+    threshold = math.sqrt(field.q * r_ab.total() * neg_c.star_size() * d.star_size())
     fires = main > threshold
-    if fires and count_bilinear(field, a, b, c, d, lam) == 0:
+    if fires and n == 0:
         raise InvariantViolation(
             f"solvability threshold fired at lam = {lam} but the exact count is 0"
         )

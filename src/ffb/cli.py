@@ -23,14 +23,15 @@ from typing import Iterator
 from . import bounds, counters, selfcheck, sumprod
 from .errors import FfbError, UsageError
 from .field import FieldSpec, make_field
-from .repfn import FqSubset
+from .instance import Instance
 from .setsgen import SetSpec, derive_seed, parse_setspec, realize
 
+ABCD = ("a", "b", "c", "d")
 SET_SLOTS = {
-    "count": ("a", "b", "c", "d"),
-    "countT": ("a", "b", "c", "d"),
-    "det2": ("a", "b", "c", "d"),
-    "solvability": ("a", "b", "c", "d"),
+    "count": ABCD,
+    "countT": ABCD,
+    "det2": ABCD,
+    "solvability": ABCD,
     "exceptional": ("f", "g", "h"),
     "sumprod": ("x", "y"),
     "bounds": ("a", "b"),
@@ -158,87 +159,79 @@ def _sanitize(value):
     return value
 
 
-def _compute(op: str, field: FieldSpec, sets: dict[str, FqSubset],
-             lam: int | None, extra: dict) -> tuple[dict, bool]:
-    """Result fields for one instance; second value is overall health."""
+def _compute(op: str, inst: Instance, lam: int | None, extra: dict) -> tuple[dict, bool]:
+    """Result fields for one instance at lam; second value is overall health."""
+    field, sets = inst.field, inst.sets
     if op == "count":
-        n = counters.count_bilinear(field, sets["a"], sets["b"], sets["c"], sets["d"], lam)
-        n_char, main, err = counters.count_bilinear_charform(
-            field, sets["a"], sets["b"], sets["c"], sets["d"], lam)
+        n = inst.bilinear(*ABCD, lam)
+        n_char, main, err = inst.bilinear_charform(*ABCD, lam)
         return ({"n": n, "n_charform": n_char, "main": main, "err": err},
                 n == n_char)
     if op == "countT":
-        t = counters.count_additive(field, sets["a"], sets["b"], sets["c"], sets["d"])
-        t_char, main, err = counters.count_additive_charform(
-            field, sets["a"], sets["b"], sets["c"], sets["d"])
+        t = inst.additive(*ABCD)
+        t_char, main, err = inst.additive_charform(*ABCD)
         return ({"t": t, "t_charform": t_char, "main": main, "err": err},
                 t == t_char)
     if op == "countn":
         pairs = extra["pairs"]
-        n = counters.count_general(field, [(sets[a], sets[b]) for a, b in pairs], lam)
+        n = int(inst.fold(pairs).counts[lam])
         ok = True
         if len(pairs) == 2:
-            (a1, b1), (a2, b2) = pairs
-            ok = n == counters.count_bilinear(field, sets[a1], sets[b1],
-                                              sets[a2], sets[b2], lam)
+            ok = n == inst.bilinear(*pairs[0], *pairs[1], lam)
         return {"n": n, "n_pairs": len(pairs)}, ok
     if op == "det2":
-        n = sumprod.count_determinant2(field, sets["a"], sets["b"], sets["c"],
-                                       sets["d"], lam)
-        return {"n": n}, True
+        # sumprod.count_determinant2: a*d - b*c = lam is a*d + (-b)*c = lam
+        return {"n": inst.bilinear("a", "d", "-b", "c", lam)}, True
     if op == "exceptional":
         e = counters.exceptional_set(field, sets["f"], sets["g"], sets["h"])
         ok = counters.verify_sarkozy_identity(field, sets["f"], sets["g"], sets["h"], e)
         ratio = e.size * sets["f"].size * sets["g"].size * sets["h"].size / field.q ** 3
         return {"e_size": e.size, "sarkozy_ok": ok, "ratio": ratio}, ok
     if op == "solvability":
-        rep = bounds.solvability_threshold_check(
-            field, sets["a"], sets["b"], sets["c"], sets["d"], lam)
-        n = counters.count_bilinear(field, sets["a"], sets["b"], sets["c"],
-                                    sets["d"], lam)
+        rep = inst.solvability(*ABCD, lam)
+        n = inst.bilinear(*ABCD, lam)
         ok = (not rep.holds) or n > 0
         return ({"n": n, "main": rep.bound_value, "threshold": rep.w_or_v,
                  "fires": rep.holds, "empirical_delta": _sanitize(rep.empirical_delta)},
                 ok)
     if op == "sumprod":
-        count, lower = sumprod.garaev_solution_count(field, sets["x"], sets["y"])
-        u = sumprod.sumset(field, sets["x"], sets["y"])
-        v = sumprod.productset(field, sets["x"], sets["y"])
+        x, y, u, v = sets["x"], sets["y"], inst.subset("x+y"), inst.subset("x*y")
+        count, lower = sumprod.garaev_solution_count(field, x, y, u, v)
         c0 = None
         if field.k == 1:
-            c0 = _sanitize(sumprod.garaev_inequality_report(field, sets["x"], sets["y"]))
+            c0 = _sanitize(sumprod.garaev_inequality_report(field, x, y, u, v))
         return ({"count": count, "lower": lower, "ok": count >= lower,
                  "u_size": u.size, "v_size": v.size, "c0_ratio": c0},
                 count >= lower)
     if op == "bounds":
-        return _compute_bounds(field, sets, lam, extra)
+        return _compute_bounds(inst, lam, extra)
     raise AssertionError(f"unknown op {op}")
 
 
-def _compute_bounds(field: FieldSpec, sets: dict[str, FqSubset],
-                    lam: int | None, extra: dict) -> tuple[dict, bool]:
-    a, b = sets["a"], sets["b"]
+def _compute_bounds(inst: Instance, lam: int | None, extra: dict) -> tuple[dict, bool]:
+    field, a, b = inst.field, inst.sets["a"], inst.sets["b"]
     out: dict = {}
     ok = True
-    rep_v = bounds.vinogradov_check(field, a, b)
+    rep_v = bounds.vinogradov_bound(field, inst.v("a", "b"), a.size, b.size)
     out["v"] = rep_v.w_or_v
     out["v_argmax"] = rep_v.argmax_j
     out["vinogradov_v"] = {"bound": rep_v.bound_value, "ratio": rep_v.ratio,
                            "holds": rep_v.holds}
     ok = ok and rep_v.holds
     if lam is not None:
-        rep_w = bounds.vinogradov_check(field, a, b, lam)
+        w = inst.w("a", "b", lam)
+        rep_w = bounds.vinogradov_bound(field, w, a.size, b.size)
         out["w"] = rep_w.w_or_v
         out["w_argmax"] = rep_w.argmax_j
         out["vinogradov_w"] = {"bound": rep_w.bound_value, "ratio": rep_w.ratio,
                                "holds": rep_w.holds}
         ok = ok and rep_w.holds
-        sweep = (bounds.karatsuba_bound(field, rep_w, a.size, b.size, r, extra["use_p"])
+        sweep = (bounds.karatsuba_bound(field, w, a.size, b.size, r, extra["use_p"])
                  for r in range(1, extra["r_max"] + 1))
         out["karatsuba"] = [{"r": kr.r, "bound": kr.bound_value, "ratio": kr.ratio}
                             for kr in sweep]
-        if "c" in sets and "d" in sets:
-            rep_c = bounds.cauchy_error_check(field, a, b, sets["c"], sets["d"], lam)
+        if "c" in inst.sets:
+            rep_c = inst.cauchy(*ABCD, lam)
             out["cauchy"] = {"err": rep_c.w_or_v, "bound": rep_c.bound_value,
                              "ratio": rep_c.ratio, "holds": rep_c.holds,
                              "strict": rep_c.strict}
@@ -255,16 +248,18 @@ def _walk(field: FieldSpec, instances: list[tuple[int, int | None, int | None]],
           with_timing: bool) -> Iterator[tuple[dict, bool]]:
     """(record, ok) for each (seed, index, lam) instance, in order.
 
-    A run of instances with one seed shares one realisation of its sets.
+    A run of instances with one seed shares one Instance: one realisation
+    of its sets and every piece built from them, so across its lams only
+    the work that depends on lam repeats.
     """
-    sets_seed, sets = None, {}
+    inst_seed, inst = None, None
     for seed, index, lam in instances:
-        if seed != sets_seed:
-            sets_seed = seed
-            sets = {name: realize(field, spec, derive_seed(seed, slot))
-                    for slot, (name, spec) in enumerate(specs)}
+        if seed != inst_seed:
+            inst_seed = seed
+            inst = Instance(field, {name: realize(field, spec, derive_seed(seed, slot))
+                                    for slot, (name, spec) in enumerate(specs)})
         start = time.perf_counter()
-        results, ok = _compute(op, field, sets, lam, extra)
+        results, ok = _compute(op, inst, lam, extra)
         elapsed = time.perf_counter() - start
         record: dict = {"op": op}
         if index is not None:

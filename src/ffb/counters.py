@@ -10,13 +10,18 @@ consume.
 Character identities here use the all-zero convention (no character sees
 the zero element), so tuples where a product vanishes are counted
 separately by closed-form combinatorics and re-added at the end.
+
+Each identity is written once, on its pieces: representation functions
+and character tables, which ffb.instance.Instance builds once per
+instance.  count_bilinear, count_additive and count_general apply the
+exact identities to pieces built afresh from the sets.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .characters import repfn_char_sums, set_char_sums
+from .characters import CharSumTable
 from .errors import BadParam, RoundingDrift
 from .field import FieldSpec, sub_perm
 from .repfn import (
@@ -34,13 +39,17 @@ ROUND_TOL = 1e-6
 def count_bilinear(field: FieldSpec, a: FqSubset, b: FqSubset, c: FqSubset,
                    d: FqSubset, lam: int) -> int:
     """#{(a,b,c,d) in A x B x C x D : a*b + c*d = lam}, exact."""
-    r1 = rep_product(field, a, b)
-    r2 = rep_product(field, c, d)
-    return int(np.dot(r1.counts, r2.counts[sub_perm(field, lam)]))
+    return bilinear_count(field, rep_product(field, a, b), rep_product(field, c, d), lam)
 
 
-def _charform(field: FieldSpec, r: RepFn, shift: int, c: FqSubset,
-              d: FqSubset) -> tuple[int, float, float]:
+def bilinear_count(field: FieldSpec, r_ab: RepFn, r_cd: RepFn, lam: int) -> int:
+    """The exact count of a*b + c*d = lam from r_AB and r_CD: the sum over x
+    of r_AB[x] * r_CD[lam - x]."""
+    return int(np.dot(r_ab.counts, r_cd.counts[sub_perm(field, lam)]))
+
+
+def _charform(field: FieldSpec, r: RepFn, shift: int, t: CharSumTable, c: FqSubset,
+              d: FqSubset, cd: np.ndarray) -> tuple[int, float, float]:
     """Character route for sum over x of r[x] * #{(y, z) in C x D : x - shift = y*z}.
 
     Returns (n, main, err).  Pairs with y*z = 0 force x = shift and are
@@ -49,17 +58,14 @@ def _charform(field: FieldSpec, r: RepFn, shift: int, c: FqSubset,
 
         n_nonzero = (1/(q-1)) * sum_j T(j) * conj(S_C(j)) * conj(S_D(j))
 
-    with T the table of sums of r[x] * chi_j(x - shift).  main is the
-    trivial character's share of n_nonzero and err = n_nonzero - main.
-    The pre-rounding residual must stay below ROUND_TOL or RoundingDrift
-    is raised.
+    with T = repfn_char_sums(field, r, shift) the table of sums of
+    r[x] * chi_j(x - shift), and cd = conj(S_C) * conj(S_D) the factor that
+    does not depend on the shift.  main is the trivial character's share of
+    n_nonzero and err = n_nonzero - main.  The pre-rounding residual must
+    stay below ROUND_TOL or RoundingDrift is raised.
     """
     m = field.q - 1
-    t = repfn_char_sums(field, r, shift=shift)
-    s_c = set_char_sums(field, c)
-    s_d = set_char_sums(field, d)
-
-    total = np.dot(t.values, np.conj(s_c.values) * np.conj(s_d.values)) / m
+    total = np.dot(t.values, cd) / m
     n_nonzero = float(total.real)
 
     residual = abs(n_nonzero - round(n_nonzero))
@@ -74,45 +80,58 @@ def _charform(field: FieldSpec, r: RepFn, shift: int, c: FqSubset,
     return n, main, n_nonzero - main
 
 
-def count_bilinear_charform(field: FieldSpec, a: FqSubset, b: FqSubset,
-                            c: FqSubset, d: FqSubset, lam: int) -> tuple[int, float, float]:
+def count_bilinear_charform(field: FieldSpec, r_ab: RepFn, t_ab: CharSumTable,
+                            neg_c: FqSubset, d: FqSubset, cd: np.ndarray,
+                            lam: int) -> tuple[int, float, float]:
     """Character-route count of a*b + c*d = lam; returns (n, main, err).
 
     a*b + c*d = lam is the same event as a*b - lam = (-c)*d, so this is
-    the character route on r_AB shifted by lam against -C and D.
+    the character route on r_AB shifted by lam against -C and D:
+    t_ab = repfn_char_sums(field, r_ab, lam) and cd = conj(S_{-C}) * conj(S_D).
     """
-    return _charform(field, rep_product(field, a, b), lam, negate_subset(field, c), d)
+    return _charform(field, r_ab, lam, t_ab, neg_c, d, cd)
 
 
 def count_additive(field: FieldSpec, a: FqSubset, b: FqSubset, c: FqSubset,
                    d: FqSubset) -> int:
     """#{(a,b,c,d) in A x B x C x D : a + b = c*d}, exact."""
-    r_sum = rep_sum(field, a, b)
-    r_prod = rep_product(field, c, d)
-    return int(np.dot(r_sum.counts, r_prod.counts))
+    return additive_count(rep_sum(field, a, b), rep_product(field, c, d))
 
 
-def count_additive_charform(field: FieldSpec, a: FqSubset, b: FqSubset,
-                            c: FqSubset, d: FqSubset) -> tuple[int, float, float]:
+def additive_count(r_sum: RepFn, r_cd: RepFn) -> int:
+    """The exact count of a + b = c*d from r_{A+B} and r_CD: their inner product."""
+    return int(np.dot(r_sum.counts, r_cd.counts))
+
+
+def count_additive_charform(field: FieldSpec, r_sum: RepFn, t_sum: CharSumTable,
+                            c: FqSubset, d: FqSubset,
+                            cd: np.ndarray) -> tuple[int, float, float]:
     """Character-route count of a + b = c*d; returns (t, main, err).
 
-    The character route on r_{A+B}, unshifted, against C and D.
+    The character route on r_{A+B}, unshifted, against C and D:
+    t_sum = repfn_char_sums(field, r_sum) and cd = conj(S_C) * conj(S_D).
     """
-    return _charform(field, rep_sum(field, a, b), 0, c, d)
+    return _charform(field, r_sum, 0, t_sum, c, d, cd)
 
 
 def count_general(field: FieldSpec, pairs: list[tuple[FqSubset, FqSubset]], lam: int) -> int:
-    """#{((a_i, b_i)) : sum of a_i * b_i = lam} over pairs of factor sets.
+    """#{((a_i, b_i)) : sum of a_i * b_i = lam} over pairs of factor sets."""
+    return int(fold_products(field, [rep_product(field, a, b) for a, b in pairs]).counts[lam])
 
-    Folds the product representation functions together with additive
-    convolution, so cost grows linearly in the number of pairs.
+
+def fold_products(field: FieldSpec, reps: list[RepFn]) -> RepFn:
+    """counts[z] = #{((a_i, b_i)) : sum of a_i * b_i = z} from the product
+    representation functions r_{A_i B_i}.
+
+    Folds them together with additive convolution, so cost grows linearly
+    in the number of pairs.
     """
-    if not pairs:
+    if not reps:
         raise BadParam("at least one (A, B) pair is required")
-    acc: RepFn = rep_product(field, pairs[0][0], pairs[0][1])
-    for a_i, b_i in pairs[1:]:
-        acc = additive_convolve(field, acc, rep_product(field, a_i, b_i))
-    return int(acc.counts[lam])
+    acc = reps[0]
+    for r in reps[1:]:
+        acc = additive_convolve(field, acc, r)
+    return acc
 
 
 def exceptional_set(field: FieldSpec, f: FqSubset, g: FqSubset, h: FqSubset) -> FqSubset:

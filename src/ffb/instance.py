@@ -1,0 +1,159 @@
+"""One instance: a field, one realisation of named sets, and every piece the
+counters and bounds take, each computed at most once.
+
+The counters, bounds and sum-product counts write each identity once, on
+its pieces (representation functions, derived sets, character tables);
+an Instance builds those pieces lazily from the named sets, so every
+identity of one instance shares them.  A piece that depends on the target
+lam (a table shifted by lam, the W measured on it, an exact count at lam)
+is kept for one lam at a time: asking for it at another lam replaces it,
+so a sweep over every lam holds one of each and recomputes only those.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable, Sequence
+
+import numpy as np
+
+from . import bounds, characters, counters, repfn
+from .bounds import BoundReport
+from .characters import CharSumTable
+from .field import FieldSpec
+from .repfn import FqSubset, RepFn
+
+
+class Instance:
+    """Named sets over one field, with their pieces memoised lazily.
+
+    A set name is a key of sets, or a name derived from keys: "-x" is -X,
+    and "x+y" and "x*y" are the sumset and the productset, the supports of
+    sum(x, y) and product(x, y).  Methods that take set names accept
+    derived names too.
+    """
+
+    def __init__(self, field: FieldSpec, sets: dict[str, FqSubset]):
+        self.field = field
+        self.sets = sets
+        self._memo: dict = {}
+        self._at_lam: dict = {}
+
+    def _once(self, key, build: Callable):
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def _once_at(self, key, lam: int, build: Callable):
+        """build() memoised for one lam per key; another lam replaces it."""
+        held = self._at_lam.get(key)
+        if held is None or held[0] != lam:
+            held = self._at_lam[key] = (lam, build())
+        return held[1]
+
+    # ------------------------------------------------------------------
+    # pieces
+    # ------------------------------------------------------------------
+
+    def subset(self, name: str) -> FqSubset:
+        """The named set, built on first use when the name is derived."""
+        if name in self.sets:
+            return self.sets[name]
+        field = self.field
+        if name.startswith("-"):
+            return self._once(name, lambda: repfn.negate_subset(field, self.subset(name[1:])))
+        for op, rep in (("+", self.sum), ("*", self.product)):
+            x, found, y = name.partition(op)
+            if found:
+                return self._once(name, lambda: FqSubset.from_mask(rep(x, y).counts > 0))
+        raise KeyError(f"no set named {name!r}")
+
+    def product(self, x: str, y: str) -> RepFn:
+        """r_XY = rep_product of the named sets."""
+        return self._once(("*", x, y), lambda: repfn.rep_product(
+            self.field, self.subset(x), self.subset(y)))
+
+    def sum(self, x: str, y: str) -> RepFn:
+        """r_{X+Y} = rep_sum of the named sets."""
+        return self._once(("+", x, y), lambda: repfn.rep_sum(
+            self.field, self.subset(x), self.subset(y)))
+
+    def fold(self, pairs: Sequence[tuple[str, str]]) -> RepFn:
+        """counters.fold_products over product(x_i, y_i) for the named pairs."""
+        pairs = tuple(pairs)
+        return self._once(("fold", pairs), lambda: counters.fold_products(
+            self.field, [self.product(x, y) for x, y in pairs]))
+
+    def product_table(self, x: str, y: str, lam: int) -> CharSumTable:
+        """repfn_char_sums of r_XY shifted by lam: the table T_lam of W and of
+        the bilinear character route."""
+        return self._once_at(("T*", x, y), lam, lambda: characters.repfn_char_sums(
+            self.field, self.product(x, y), shift=lam))
+
+    def sum_table(self, x: str, y: str) -> CharSumTable:
+        """repfn_char_sums of r_{X+Y}: the table of V and of the additive
+        character route."""
+        return self._once(("T+", x, y), lambda: characters.repfn_char_sums(
+            self.field, self.sum(x, y)))
+
+    def conj_pair(self, x: str, y: str) -> np.ndarray:
+        """conj(S_X) * conj(S_Y), the factor of the character route that no
+        shift changes."""
+        def build():
+            s_x, s_y = (characters.set_char_sums(self.field, self.subset(z)) for z in (x, y))
+            return np.conj(s_x.values) * np.conj(s_y.values)
+
+        return self._once(("conj", x, y), build)
+
+    def _charform_pieces(self, a: str, b: str, c: str, d: str, lam: int) -> tuple:
+        """The pieces of count_bilinear_charform for a*b + c*d = lam."""
+        neg_c = "-" + c
+        return (self.product(a, b), self.product_table(a, b, lam), self.subset(neg_c),
+                self.subset(d), self.conj_pair(neg_c, d))
+
+    # ------------------------------------------------------------------
+    # identities on those pieces
+    # ------------------------------------------------------------------
+
+    def bilinear(self, a: str, b: str, c: str, d: str, lam: int) -> int:
+        """#{a*b + c*d = lam} over the named sets, exact."""
+        return self._once_at(("n", a, b, c, d), lam, lambda: counters.bilinear_count(
+            self.field, self.product(a, b), self.product(c, d), lam))
+
+    def bilinear_charform(self, a: str, b: str, c: str, d: str,
+                          lam: int) -> tuple[int, float, float]:
+        """counters.count_bilinear_charform of a*b + c*d = lam: (n, main, err)."""
+        return counters.count_bilinear_charform(
+            self.field, *self._charform_pieces(a, b, c, d, lam), lam)
+
+    def additive(self, a: str, b: str, c: str, d: str) -> int:
+        """#{a + b = c*d} over the named sets, exact."""
+        return counters.additive_count(self.sum(a, b), self.product(c, d))
+
+    def additive_charform(self, a: str, b: str, c: str, d: str) -> tuple[int, float, float]:
+        """counters.count_additive_charform of a + b = c*d: (t, main, err)."""
+        return counters.count_additive_charform(
+            self.field, self.sum(a, b), self.sum_table(a, b), self.subset(c),
+            self.subset(d), self.conj_pair(c, d))
+
+    def w(self, a: str, b: str, lam: int) -> BoundReport:
+        """bounds.compute_W at lam, on product_table(a, b, lam)."""
+        return self._once_at(("W", a, b), lam, lambda: bounds.compute_W(
+            self.field, self.product_table(a, b, lam)))
+
+    def v(self, a: str, b: str) -> BoundReport:
+        """bounds.compute_V, on sum_table(a, b)."""
+        return self._once(("V", a, b), lambda: bounds.compute_V(
+            self.field, self.sum_table(a, b)))
+
+    def cauchy(self, a: str, b: str, c: str, d: str, lam: int) -> BoundReport:
+        """bounds.cauchy_error_check of the character route at lam against
+        the W of the same table."""
+        _, _, err = self.bilinear_charform(a, b, c, d, lam)
+        return bounds.cauchy_error_check(self.field, self.w(a, b, lam), err,
+                                         self.subset(c), self.subset(d))
+
+    def solvability(self, a: str, b: str, c: str, d: str, lam: int) -> BoundReport:
+        """bounds.solvability_threshold_check of a*b + c*d = lam."""
+        return bounds.solvability_threshold_check(
+            self.field, *self._charform_pieces(a, b, c, d, lam), lam,
+            self.bilinear(a, b, c, d, lam))

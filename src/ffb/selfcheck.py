@@ -14,12 +14,14 @@ import numpy as np
 from . import bounds, counters, setsgen, sumprod
 from .characters import char_eval
 from .field import FieldSpec, field_add, field_mul, field_neg, make_field
+from .instance import Instance
 from .repfn import FqSubset, full_subset, subset_from_codes
 from .setsgen import SetSpec, derive_seed, stream_value
 
 # (p, k) per grid order q = 3, 5, 7, 9, 11, 13, 16
 GRID_SHAPES = [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (2, 4)]
 GRID_TUPLES = 50
+ABCD = ("a", "b", "c", "d")
 ORTHO_TOL = 1e-9
 
 
@@ -49,15 +51,14 @@ def grid_tuple(field: FieldSpec, index: int, n_sets: int = 4,
 # brute-force oracles on operation tables
 # ----------------------------------------------------------------------
 
-_tables_cache: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+OpTables = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def op_tables(field: FieldSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(mul, add, neg) tables over all codes, built by scalar arithmetic."""
-    key = (field.p, field.k, field.modulus)
-    cached = _tables_cache.get(key)
-    if cached is not None:
-        return cached
+def op_tables(field: FieldSpec) -> OpTables:
+    """(mul, add, neg) tables over all codes, built by scalar arithmetic.
+
+    The brute_* oracles take them as an argument; a caller builds them once
+    per field."""
     q = field.q
     mul = np.empty((q, q), dtype=np.int64)
     add = np.empty((q, q), dtype=np.int64)
@@ -67,26 +68,26 @@ def op_tables(field: FieldSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         for y in range(q):
             mul[x, y] = field_mul(field, x, y)
             add[x, y] = field_add(field, x, y)
-    _tables_cache[key] = (mul, add, neg)
     return mul, add, neg
 
 
-def brute_bilinear_all(field: FieldSpec, a: FqSubset, b: FqSubset, c: FqSubset,
+def brute_bilinear_all(tables: OpTables, a: FqSubset, b: FqSubset, c: FqSubset,
                        d: FqSubset) -> np.ndarray:
     """Histogram over lam of a*b + c*d by full tuple enumeration."""
-    mul, add, _ = op_tables(field)
+    mul, add, _ = tables
+    q = len(mul)
     p1 = mul[np.ix_(a.codes(), b.codes())].ravel()
     p2 = mul[np.ix_(c.codes(), d.codes())].ravel()
     if len(p1) == 0 or len(p2) == 0:
-        return np.zeros(field.q, dtype=np.int64)
+        return np.zeros(q, dtype=np.int64)
     vals = add[p1[:, None], p2[None, :]].ravel()
-    return np.bincount(vals, minlength=field.q).astype(np.int64)
+    return np.bincount(vals, minlength=q).astype(np.int64)
 
 
-def brute_additive(field: FieldSpec, a: FqSubset, b: FqSubset, c: FqSubset,
+def brute_additive(tables: OpTables, a: FqSubset, b: FqSubset, c: FqSubset,
                    d: FqSubset) -> int:
     """a + b = c*d by full tuple enumeration."""
-    mul, add, _ = op_tables(field)
+    mul, add, _ = tables
     sums = add[np.ix_(a.codes(), b.codes())].ravel()
     prods = mul[np.ix_(c.codes(), d.codes())].ravel()
     if len(sums) == 0 or len(prods) == 0:
@@ -94,39 +95,42 @@ def brute_additive(field: FieldSpec, a: FqSubset, b: FqSubset, c: FqSubset,
     return int((sums[:, None] == prods[None, :]).sum())
 
 
-def brute_general_all(field: FieldSpec, pairs: list[tuple[FqSubset, FqSubset]]) -> np.ndarray:
+def brute_general_all(tables: OpTables, pairs: list[tuple[FqSubset, FqSubset]]) -> np.ndarray:
     """Histogram over lam of sum of a_i*b_i, full enumeration, n <= 3."""
-    mul, add, _ = op_tables(field)
+    mul, add, _ = tables
+    q = len(mul)
     vals_per_pair = [mul[np.ix_(x.codes(), y.codes())].ravel() for x, y in pairs]
     if any(len(v) == 0 for v in vals_per_pair):
-        return np.zeros(field.q, dtype=np.int64)
+        return np.zeros(q, dtype=np.int64)
     acc = vals_per_pair[0]
     for v in vals_per_pair[1:]:
         acc = add[acc[:, None], v[None, :]].ravel()
-    return np.bincount(acc, minlength=field.q).astype(np.int64)
+    return np.bincount(acc, minlength=q).astype(np.int64)
 
 
-def brute_exceptional_mask(field: FieldSpec, f: FqSubset, g: FqSubset,
+def brute_exceptional_mask(tables: OpTables, f: FqSubset, g: FqSubset,
                            h: FqSubset) -> np.ndarray:
     """Boolean mask of lam with no solution of f + g*h = lam, enumerated."""
-    mul, add, _ = op_tables(field)
-    attained = np.zeros(field.q, dtype=bool)
+    mul, add, _ = tables
+    q = len(mul)
+    attained = np.zeros(q, dtype=bool)
     prods = mul[np.ix_(g.codes(), h.codes())].ravel()
     if len(prods) and f.size:
         attained[add[np.ix_(f.codes(), prods)].ravel()] = True
     return ~attained
 
 
-def brute_det2_all(field: FieldSpec, a: FqSubset, b: FqSubset, c: FqSubset,
+def brute_det2_all(tables: OpTables, a: FqSubset, b: FqSubset, c: FqSubset,
                    d: FqSubset) -> np.ndarray:
     """Histogram over lam of a*d - b*c by full tuple enumeration."""
-    mul, add, neg = op_tables(field)
+    mul, add, neg = tables
+    q = len(mul)
     ad = mul[np.ix_(a.codes(), d.codes())].ravel()
     bc = mul[np.ix_(b.codes(), c.codes())].ravel()
     if len(ad) == 0 or len(bc) == 0:
-        return np.zeros(field.q, dtype=np.int64)
+        return np.zeros(q, dtype=np.int64)
     vals = add[ad[:, None], neg[bc][None, :]].ravel()
-    return np.bincount(vals, minlength=field.q).astype(np.int64)
+    return np.bincount(vals, minlength=q).astype(np.int64)
 
 
 # ----------------------------------------------------------------------
@@ -139,25 +143,26 @@ def criterion_oracle_equivalence(q_max: int = 13, tuples: int = GRID_TUPLES,
     no-solution sets at q <= 11, the general n-term form at n <= 3, q <= 7."""
     checked = 0
     for field in grid_fields(min(q_max, 11)):
+        tables = op_tables(field)
         for idx in range(tuples):
             a, b, c, d = grid_tuple(field, idx, 4, base_seed)
-            brute = brute_bilinear_all(field, a, b, c, d)
-            det_brute = brute_det2_all(field, a, b, c, d)
+            brute = brute_bilinear_all(tables, a, b, c, d)
+            det_brute = brute_det2_all(tables, a, b, c, d)
             for lam in range(field.q):
                 if counters.count_bilinear(field, a, b, c, d, lam) != int(brute[lam]):
                     return False, f"count_bilinear mismatch q={field.q} tuple={idx} lam={lam}"
                 if sumprod.count_determinant2(field, a, b, c, d, lam) != int(det_brute[lam]):
                     return False, f"count_determinant2 mismatch q={field.q} tuple={idx} lam={lam}"
                 checked += 2
-            if counters.count_additive(field, a, b, c, d) != brute_additive(field, a, b, c, d):
+            if counters.count_additive(field, a, b, c, d) != brute_additive(tables, a, b, c, d):
                 return False, f"count_additive mismatch q={field.q} tuple={idx}"
             exc = counters.exceptional_set(field, a, b, c)
-            if not np.array_equal(exc.membership, brute_exceptional_mask(field, a, b, c)):
+            if not np.array_equal(exc.membership, brute_exceptional_mask(tables, a, b, c)):
                 return False, f"exceptional_set mismatch q={field.q} tuple={idx}"
             checked += 2
             if field.q <= 7:
                 pairs = [(a, b), (c, d), (a, c)]
-                brute3 = brute_general_all(field, pairs)
+                brute3 = brute_general_all(tables, pairs)
                 for lam in range(field.q):
                     if counters.count_general(field, pairs, lam) != int(brute3[lam]):
                         return False, f"count_general mismatch q={field.q} tuple={idx} lam={lam}"
@@ -171,15 +176,14 @@ def criterion_charform_agreement(q_max: int = 16, tuples: int = GRID_TUPLES,
     checked = 0
     for field in grid_fields(q_max):
         for idx in range(tuples):
-            a, b, c, d = grid_tuple(field, idx, 4, base_seed)
-            t_exact = counters.count_additive(field, a, b, c, d)
-            t_char, _, _ = counters.count_additive_charform(field, a, b, c, d)
-            if t_char != t_exact:
+            inst = Instance(field, dict(zip(ABCD, grid_tuple(field, idx, 4, base_seed))))
+            t_char, _, _ = inst.additive_charform(*ABCD)
+            if t_char != inst.additive(*ABCD):
                 return False, f"additive charform mismatch q={field.q} tuple={idx}"
             checked += 1
             for lam in range(field.q):
-                n_exact = counters.count_bilinear(field, a, b, c, d, lam)
-                n_char, _, _ = counters.count_bilinear_charform(field, a, b, c, d, lam)
+                n_exact = inst.bilinear(*ABCD, lam)
+                n_char, _, _ = inst.bilinear_charform(*ABCD, lam)
                 if n_char != n_exact:
                     return False, f"bilinear charform mismatch q={field.q} tuple={idx} lam={lam}"
                 checked += 1
@@ -207,7 +211,7 @@ def criterion_closed_forms(q_max: int = 13, base_seed: int = 0) -> tuple[bool, s
             return False, f"additive closed form fails q={q}: {t} != {q ** 3}"
         checked += 1
         if q == 5:
-            brute = brute_bilinear_all(field, full, full, full, full)
+            brute = brute_bilinear_all(op_tables(field), full, full, full, full)
             if int(brute[0]) != expected_zero or any(
                 int(brute[lam]) != expected_nonzero for lam in range(1, q)
             ):
@@ -225,15 +229,16 @@ def criterion_proven_bounds(q_max: int = 13, tuples: int = GRID_TUPLES,
             continue
         for idx in range(tuples):
             a, b, c, d = grid_tuple(field, idx, 4, base_seed)
-            rep = bounds.vinogradov_check(field, a, b)
+            inst = Instance(field, dict(zip(ABCD, (a, b, c, d))))
+            rep = bounds.vinogradov_bound(field, inst.v("a", "b"), a.size, b.size)
             if not rep.holds:
                 return False, f"V bound fails q={field.q} tuple={idx}: {rep}"
             checked += 1
             for lam in range(field.q):
-                rep = bounds.vinogradov_check(field, a, b, lam)
+                rep = bounds.vinogradov_bound(field, inst.w("a", "b", lam), a.size, b.size)
                 if not rep.holds:
                     return False, f"W bound fails q={field.q} tuple={idx} lam={lam}: {rep}"
-                rep = bounds.cauchy_error_check(field, a, b, c, d, lam)
+                rep = inst.cauchy(*ABCD, lam)
                 if not rep.holds:
                     return False, f"Cauchy bound fails q={field.q} tuple={idx} lam={lam}: {rep}"
                 checked += 2
@@ -261,13 +266,13 @@ def criterion_solvability(q_max: int = 13, tuples: int = GRID_TUPLES,
     checked = 0
     for field in grid_fields(q_max):
         for idx in range(tuples):
-            a, b, c, d = grid_tuple(field, idx, 4, base_seed)
+            inst = Instance(field, dict(zip(ABCD, grid_tuple(field, idx, 4, base_seed))))
             for lam in range(1, field.q):
-                rep = bounds.solvability_threshold_check(field, a, b, c, d, lam)
+                rep = inst.solvability(*ABCD, lam)
                 checked += 1
                 if rep.holds:
                     fired += 1
-                    if counters.count_bilinear(field, a, b, c, d, lam) <= 0:
+                    if inst.bilinear(*ABCD, lam) <= 0:
                         return False, f"threshold violated q={field.q} tuple={idx} lam={lam}"
     return True, f"{checked} instances, condition fired {fired} times, zero violations"
 
@@ -279,7 +284,8 @@ def criterion_garaev_lower(q_max: int = 13, tuples: int = GRID_TUPLES,
     for field in grid_fields(q_max):
         for idx in range(tuples):
             x, y, _, _ = grid_tuple(field, idx, 4, base_seed)
-            count, lower = sumprod.garaev_solution_count(field, x, y)
+            count, lower = sumprod.garaev_solution_count(
+                field, x, y, sumprod.sumset(field, x, y), sumprod.productset(field, x, y))
             if count < lower:
                 return False, f"lower bound fails q={field.q} tuple={idx}: {count} < {lower}"
             checked += 1

@@ -130,11 +130,15 @@ def _draw_distinct(field: FieldSpec, m: int, seed: int) -> np.ndarray:
     rejected, the rest taken mod q.
 
     The stream is drawn in blocks of about twice the expected number of
-    draws still needed, at most 2^16 at a time.
+    draws still needed, at most 2^16 at a time.  Within a block, first[c]
+    is the position of the first draw of code c: reset to the block length
+    at the block's own codes, then lowered by one unbuffered minimum, so
+    each block costs time linear in its length whatever q is.
     """
     q = field.q
     limit = ((1 << 64) // q) * q
     taken = np.zeros(q, dtype=bool)
+    first = np.empty(q, dtype=np.int64)
     parts = [np.zeros(0, dtype=np.int64)]
     found = counter = 0
     while found < m:
@@ -144,9 +148,10 @@ def _draw_distinct(field: FieldSpec, m: int, seed: int) -> np.ndarray:
         if limit <= _MASK:
             values = values[values < np.uint64(limit)]
         codes = (values % np.uint64(q)).astype(np.int64)
-        first = np.zeros(codes.size, dtype=bool)
-        first[np.unique(codes, return_index=True)[1]] = True
-        fresh = codes[first & ~taken[codes]][: m - found]
+        position = np.arange(codes.size)
+        first[codes] = codes.size
+        np.minimum.at(first, codes, position)
+        fresh = codes[(first[codes] == position) & ~taken[codes]][: m - found]
         taken[fresh] = True
         parts.append(fresh)
         found += fresh.size

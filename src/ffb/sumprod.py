@@ -10,7 +10,8 @@ functions: two convolutions and a dot product.  Every triple (x1, x2, y)
 yields the solution (x1, x2, x2 + y, x1 * y) and distinct triples yield
 distinct solutions, so the count is at least #(X minus 0) * #X * #Y;
 restricting x1 away from zero is what keeps that lower bound exact in
-the presence of zero.
+the presence of zero.  garaev_solution_count and garaev_inequality_report
+take U and V as arguments, so one instance builds each of them once.
 """
 
 from __future__ import annotations
@@ -35,10 +36,12 @@ def productset(field: FieldSpec, x: FqSubset, y: FqSubset) -> FqSubset:
     return FqSubset.from_mask(rep_product(field, x, y).counts > 0)
 
 
-def garaev_solution_count(field: FieldSpec, x: FqSubset, y: FqSubset) -> tuple[int, int]:
-    """(count, lower) for v * x1^(-1) + x2 = u over (X\\0) x X x (X+Y) x (X*Y)."""
-    shifts = rep_sum(field, sumset(field, x, y), negate_subset(field, x))
-    scales = rep_product(field, productset(field, x, y), inverse_subset(field, x))
+def garaev_solution_count(field: FieldSpec, x: FqSubset, y: FqSubset, u: FqSubset,
+                          v: FqSubset) -> tuple[int, int]:
+    """(count, lower) for v * x1^(-1) + x2 = u over (X\\0) x X x U x V, where
+    u = sumset(field, x, y) and v = productset(field, x, y)."""
+    shifts = rep_sum(field, u, negate_subset(field, x))
+    scales = rep_product(field, v, inverse_subset(field, x))
     # both factors are nonnegative and the total is at most #X^2 * q < 2^63
     count = int(np.dot(shifts.counts, scales.counts))
     lower = x.star_size() * x.size * y.size
@@ -48,18 +51,18 @@ def garaev_solution_count(field: FieldSpec, x: FqSubset, y: FqSubset) -> tuple[i
     return count, lower
 
 
-def garaev_inequality_report(field: FieldSpec, x: FqSubset, y: FqSubset) -> float:
-    """Observed constant (#U * #V) / min(p * max(#X, #Y), (#X * #Y)^2 / p).
+def garaev_inequality_report(field: FieldSpec, x: FqSubset, y: FqSubset, u: FqSubset,
+                             v: FqSubset) -> float:
+    """Observed constant (#U * #V) / min(p * max(#X, #Y), (#X * #Y)^2 / p),
+    with u = sumset(field, x, y) and v = productset(field, x, y).
 
     Stated for prime fields only; raises NotPrimeField for k > 1.
     """
     if field.k != 1:
         raise NotPrimeField("the sum-product inequality is stated for prime fields")
     p = field.p
-    u_size = sumset(field, x, y).size
-    v_size = productset(field, x, y).size
     denom = min(p * max(x.size, y.size), (x.size * y.size) ** 2 / p)
-    num = u_size * v_size
+    num = u.size * v.size
     if denom == 0.0:
         return 0.0 if num == 0 else math.inf
     return num / denom

@@ -4,22 +4,33 @@ import math
 
 import pytest
 
-from ffb.bounds import (
-    cauchy_error_check,
-    compute_V,
-    compute_W,
-    karatsuba_report,
-    solvability_threshold_check,
-    vinogradov_check,
-)
-from ffb.characters import char_eval
+from ffb.bounds import compute_V, compute_W, karatsuba_report, vinogradov_check
+from ffb.characters import char_eval, repfn_char_sums, shifted_product_char_sums
 from ffb.counters import count_bilinear
 from ffb.errors import LambdaZero, NoNontrivialCharacter
 from ffb.field import field_add, field_mul, field_sub, make_field
-from ffb.repfn import empty_subset, full_subset, subset_from_codes
+from ffb.instance import Instance
+from ffb.repfn import empty_subset, full_subset, rep_sum, subset_from_codes
 from ffb.setsgen import SetSpec, derive_seed, realize, stream_value
 
 TOL = 1e-9
+ABCD = ("a", "b", "c", "d")
+
+
+def w_of(field, a, b, lam):
+    return compute_W(field, shifted_product_char_sums(field, a, b, lam))
+
+
+def v_of(field, a, b):
+    return compute_V(field, repfn_char_sums(field, rep_sum(field, a, b)))
+
+
+def cauchy(field, a, b, c, d, lam):
+    return Instance(field, dict(zip(ABCD, (a, b, c, d)))).cauchy(*ABCD, lam)
+
+
+def solvability(field, a, b, c, d, lam):
+    return Instance(field, dict(zip(ABCD, (a, b, c, d)))).solvability(*ABCD, lam)
 
 
 def seeded_pair(field, seed):
@@ -56,12 +67,12 @@ def oracle_v(field, a, b):
 
 def test_w_vanishes_on_full_multiplicative_group(f7):
     star = subset_from_codes(f7, range(1, 7))
-    assert compute_W(f7, star, star, 0).w_or_v < TOL
+    assert w_of(f7, star, star, 0).w_or_v < TOL
 
 
 def test_w_singletons(f7):
     a, b = subset_from_codes(f7, [2]), subset_from_codes(f7, [3])
-    rep = compute_W(f7, a, b, 1)  # 2*3 - 1 is nonzero
+    rep = w_of(f7, a, b, 1)  # 2*3 - 1 is nonzero
     assert rep.w_or_v == pytest.approx(1.0, abs=TOL)
     assert 1 <= rep.argmax_j < 6
 
@@ -69,39 +80,39 @@ def test_w_singletons(f7):
 def test_w_matches_direct_oracle(f7):
     a = subset_from_codes(f7, [1, 2, 4])
     b = subset_from_codes(f7, [3, 5])
-    assert compute_W(f7, a, b, 1).w_or_v == pytest.approx(oracle_w(f7, a, b, 1), abs=TOL)
+    assert w_of(f7, a, b, 1).w_or_v == pytest.approx(oracle_w(f7, a, b, 1), abs=TOL)
 
 
 def test_v_known_cases(f5, f9):
     zero = subset_from_codes(f5, [0])
-    assert compute_V(f5, zero, zero).w_or_v < TOL
+    assert v_of(f5, zero, zero).w_or_v < TOL
     full = full_subset(f9)
-    assert compute_V(f9, full, full).w_or_v < TOL
+    assert v_of(f9, full, full).w_or_v < TOL
 
 
 def test_w_v_match_oracles_seeded(f11):
     for idx in range(10):
         a, b = seeded_pair(f11, derive_seed(67, idx))
-        assert compute_V(f11, a, b).w_or_v == pytest.approx(oracle_v(f11, a, b), abs=TOL)
+        assert v_of(f11, a, b).w_or_v == pytest.approx(oracle_v(f11, a, b), abs=TOL)
         for lam in (0, 3):
-            assert (compute_W(f11, a, b, lam).w_or_v
+            assert (w_of(f11, a, b, lam).w_or_v
                     == pytest.approx(oracle_w(f11, a, b, lam), abs=TOL))
 
 
 def test_w_v_symmetric_in_arguments(f13):
     a, b = seeded_pair(f13, 71)
-    assert (compute_W(f13, a, b, 2).w_or_v
-            == pytest.approx(compute_W(f13, b, a, 2).w_or_v, abs=TOL))
-    assert (compute_V(f13, a, b).w_or_v
-            == pytest.approx(compute_V(f13, b, a).w_or_v, abs=TOL))
+    assert (w_of(f13, a, b, 2).w_or_v
+            == pytest.approx(w_of(f13, b, a, 2).w_or_v, abs=TOL))
+    assert (v_of(f13, a, b).w_or_v
+            == pytest.approx(v_of(f13, b, a).w_or_v, abs=TOL))
 
 
 def test_two_element_field_has_no_nontrivial_character(f2):
     s = subset_from_codes(f2, [1])
     with pytest.raises(NoNontrivialCharacter):
-        compute_W(f2, s, s, 1)
+        w_of(f2, s, s, 1)
     with pytest.raises(NoNontrivialCharacter):
-        compute_V(f2, s, s)
+        v_of(f2, s, s)
 
 
 def test_sqrt_bound_degenerate_cases(f7):
@@ -130,7 +141,7 @@ def test_moment_bound_formula_and_ratio(f7, f13):
 
     s6 = subset_from_codes(f13, range(1, 7))
     rep = karatsuba_report(f13, s6, s6, 1, r=2)
-    w = compute_W(f13, s6, s6, 1).w_or_v
+    w = w_of(f13, s6, s6, 1).w_or_v
     assert rep.ratio == pytest.approx(w / rep.bound_value)
     assert rep.holds is None  # report only, nothing asserted
 
@@ -148,34 +159,34 @@ def test_moment_bound_characteristic_variant(f9):
 def test_cauchy_error_bound(f5, f9, f11):
     full = full_subset(f5)
     star = subset_from_codes(f5, range(1, 5))
-    rep = cauchy_error_check(f5, full, full, empty_subset(f5), full, 1)
+    rep = cauchy(f5, full, full, empty_subset(f5), full, 1)
     assert rep.holds and rep.w_or_v == pytest.approx(0.0, abs=TOL)
-    assert cauchy_error_check(f5, star, star, star, star, 1).holds
+    assert cauchy(f5, star, star, star, star, 1).holds
     for field in (f9, f11):
         for idx in range(50):
             a, b = seeded_pair(field, derive_seed(83, field.q, idx))
             c, d = seeded_pair(field, derive_seed(89, field.q, idx))
             lam = stream_value(83, idx) % field.q
-            assert cauchy_error_check(field, a, b, c, d, lam).holds
+            assert cauchy(field, a, b, c, d, lam).holds
 
 
 def test_solvability_fires_on_full_sets(f7):
     star = subset_from_codes(f7, range(1, 7))
-    rep = solvability_threshold_check(f7, star, star, star, star, 1)
+    rep = solvability(f7, star, star, star, star, 1)
     assert rep.holds
     assert count_bilinear(f7, star, star, star, star, 1) > 0
 
 
 def test_solvability_vacuous_on_singletons(f7):
     s = subset_from_codes(f7, [2])
-    rep = solvability_threshold_check(f7, s, s, s, s, 1)
+    rep = solvability(f7, s, s, s, s, 1)
     assert not rep.holds
 
 
 def test_solvability_rejects_zero_target(f7):
     star = subset_from_codes(f7, range(1, 7))
     with pytest.raises(LambdaZero):
-        solvability_threshold_check(f7, star, star, star, star, 0)
+        solvability(f7, star, star, star, star, 0)
 
 
 def test_solvability_implication_on_nested_intervals():
@@ -183,13 +194,13 @@ def test_solvability_implication_on_nested_intervals():
     for hi in range(1, 13):
         sets = [subset_from_codes(f13, range(1, hi + 1)) for _ in range(4)]
         for lam in range(1, 13):
-            rep = solvability_threshold_check(f13, *sets, lam)
+            rep = solvability(f13, *sets, lam)
             if rep.holds:
                 assert count_bilinear(f13, *sets, lam) > 0
 
 
 def test_empirical_delta_reported(f7):
     star = subset_from_codes(f7, range(1, 7))
-    rep = solvability_threshold_check(f7, star, star, star, star, 1)
+    rep = solvability(f7, star, star, star, star, 1)
     # full-set instance has zero error, so the gap is unbounded
     assert rep.empirical_delta == math.inf

@@ -13,6 +13,7 @@ import pytest
 
 import ffb.bounds
 import ffb.cli
+import ffb.counters
 from ffb.bounds import karatsuba_report
 from ffb.cli import run
 from ffb.errors import RoundingDrift
@@ -166,7 +167,7 @@ def test_solvability_subcommand(capsys):
 
 def test_broken_invariant_is_a_hard_failure(capsys, monkeypatch):
     # a fired threshold with no solution is a bug: exit 1, never a usage error
-    monkeypatch.setattr(ffb.bounds, "count_bilinear", lambda *args: 0)
+    monkeypatch.setattr(ffb.counters, "bilinear_count", lambda *args: 0)
     code = run(["solvability", "--p", "7", "--a", "interval:1..6", "--b", "interval:1..6",
                 "--c", "interval:1..6", "--d", "interval:1..6", "--lambda", "1"])
     assert code == 1
@@ -260,6 +261,16 @@ def count_calls(monkeypatch, module, names, log):
     return calls
 
 
+def count_calls_everywhere(monkeypatch, names, log):
+    """count_calls on the binding of each name in every loaded ffb module."""
+    calls = None
+    for _, module in sorted(sys.modules.items()):
+        if module is not None and module.__name__.split(".")[0] == "ffb":
+            present = [name for name in names if callable(vars(module).get(name))]
+            calls = count_calls(monkeypatch, module, present, log)
+    return calls
+
+
 SCAN_ARGS = ["scan", "--p", "5", "--op", "count", "--a", "random:3", "--b", "random:3",
              "--c", "random:3", "--d", "random:3", "--no-timing"]
 
@@ -280,8 +291,8 @@ def test_bounds_measures_w_once_for_the_sweep(capsys, monkeypatch, tmp_path):
     calls = count_calls(monkeypatch, ffb.bounds, ("compute_W",), tmp_path / "log")
     code, recs, _ = run_json(capsys, argv)
     assert code == 0
-    # one W for the square-root check and its sweep, one inside the Cauchy check
-    assert calls() == {"compute_W": 2}
+    # one W for the square-root check, its sweep and the Cauchy check
+    assert calls() == {"compute_W": 1}
     field = make_field(13)
     a, b = (realize(field, parse_setspec(spec), derive_seed(2, slot))
             for slot, spec in enumerate(("random:5", "random:6")))
@@ -290,6 +301,50 @@ def test_bounds_measures_w_once_for_the_sweep(capsys, monkeypatch, tmp_path):
         kr = karatsuba_report(field, a, b, 3, r=r)
         want.append({"r": r, "bound": kr.bound_value, "ratio": kr.ratio})
     assert recs[0]["karatsuba"] == want
+
+
+def test_count_builds_each_piece_once_for_every_lambda(capsys, monkeypatch, tmp_path):
+    calls = count_calls_everywhere(monkeypatch, ("rep_product", "set_char_sums"),
+                                   tmp_path / "log")
+    code, recs, _ = run_json(capsys, COUNT_ARGS[:-2] + ["--lambda", "all", "--no-timing"])
+    assert code == 0 and len(recs) == 4
+    # r_AB, r_CD, S_{-C} and S_D once for the 4 lambdas
+    assert calls() == {"rep_product": 2, "set_char_sums": 2}
+
+
+def test_sumprod_builds_sumset_and_productset_once(capsys, monkeypatch, tmp_path):
+    calls = count_calls_everywhere(monkeypatch, ("rep_sum", "rep_product"), tmp_path / "log")
+    code, recs, _ = run_json(capsys, ["sumprod", "--p", "13", "--x", "random:5",
+                                      "--y", "random:4", "--no-timing"])
+    assert code == 0 and recs[0]["c0_ratio"] is not None
+    # U = X + Y and V = X * Y, then r_{U+(-X)} and r_{V*X*^-1}
+    assert calls() == {"rep_sum": 2, "rep_product": 2}
+
+
+def test_count_additive_builds_the_sum_once(capsys, monkeypatch, tmp_path):
+    calls = count_calls_everywhere(monkeypatch, ("rep_sum",), tmp_path / "log")
+    code, recs, _ = run_json(capsys, ["countT", "--p", "13", "--a", "random:5", "--b",
+                                      "random:4", "--c", "random:6", "--d", "random:3",
+                                      "--no-timing"])
+    assert code == 0 and recs[0]["t"] == recs[0]["t_charform"]
+    assert calls() == {"rep_sum": 1}
+
+
+@pytest.mark.parametrize("shape", [(7, 1), (3, 2), (2, 4)], ids=["f7", "f9", "f16"])
+@pytest.mark.parametrize("op", ["count", "det2", "solvability", "bounds"])
+def test_every_lambda_record_matches_its_single_lambda_command(capsys, op, shape):
+    # pieces kept across a sweep must not carry state from another lambda
+    argv = [op, "--p", str(shape[0]), "--k", str(shape[1]), "--a", "random:3",
+            "--b", "random:4", "--c", "random:3", "--d", "random:2", "--seed", "5",
+            "--no-timing"]
+    code, swept, _ = run_json(capsys, argv + ["--lambda", "all"])
+    assert code == 0
+    q = shape[0] ** shape[1]
+    assert [rec["lambda"] for rec in swept] == list(range(1, q))
+    for rec in swept:
+        code, single, _ = run_json(capsys, argv + ["--lambda", str(rec["lambda"])])
+        assert code == 0
+        assert single == [rec]
 
 
 @pytest.mark.parametrize("lam", ["1", "all"], ids=["2-instances", "8-instances"])
@@ -312,10 +367,10 @@ def test_pooled_scan_writes_the_records_before_a_failure(capsys, monkeypatch):
     # forked workers see the patched _compute, whatever the default start method
     compute = ffb.cli._compute
 
-    def failing(op, field, sets, lam, extra):
+    def failing(op, inst, lam, extra):
         if lam == 3:
             raise RoundingDrift(f"injected at lambda {lam}")
-        return compute(op, field, sets, lam, extra)
+        return compute(op, inst, lam, extra)
 
     monkeypatch.setattr(ffb.cli, "_compute", failing)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(

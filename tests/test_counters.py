@@ -8,18 +8,27 @@ import pytest
 import ffb.characters
 from ffb.counters import (
     count_additive,
-    count_additive_charform,
     count_bilinear,
-    count_bilinear_charform,
     count_general,
     exceptional_set,
     verify_sarkozy_identity,
 )
 from ffb.errors import BadParam, RoundingDrift
 from ffb.field import field_add, field_mul
+from ffb.instance import Instance
 from ffb.repfn import empty_subset, full_subset, subset_from_codes
-from ffb.selfcheck import brute_exceptional_mask, grid_tuple
+from ffb.selfcheck import brute_exceptional_mask, grid_tuple, op_tables
 from ffb.setsgen import SetSpec, derive_seed, realize, stream_value
+
+ABCD = ("a", "b", "c", "d")
+
+
+def bilinear_charform(field, a, b, c, d, lam):
+    return Instance(field, dict(zip(ABCD, (a, b, c, d)))).bilinear_charform(*ABCD, lam)
+
+
+def additive_charform(field, a, b, c, d):
+    return Instance(field, dict(zip(ABCD, (a, b, c, d)))).additive_charform(*ABCD)
 
 
 def seeded_sets(field, seed, n):
@@ -45,9 +54,9 @@ def test_count_bilinear_empty_input(f5):
 
 def test_charform_full_field_and_empty(f5):
     full, empty = full_subset(f5), empty_subset(f5)
-    n, main, err = count_bilinear_charform(f5, full, full, full, full, 1)
+    n, main, err = bilinear_charform(f5, full, full, full, full, 1)
     assert n == 120
-    assert (count_bilinear_charform(f5, empty, empty, empty, empty, 1)
+    assert (bilinear_charform(f5, empty, empty, empty, empty, 1)
             == (0, 0, 0))
 
 
@@ -56,7 +65,7 @@ def test_charform_matches_exact_count(f7):
         a, b, c, d = seeded_sets(f7, derive_seed(31, idx), 4)
         for lam in range(7):
             n = count_bilinear(f7, a, b, c, d, lam)
-            n_char, main, err = count_bilinear_charform(f7, a, b, c, d, lam)
+            n_char, main, err = bilinear_charform(f7, a, b, c, d, lam)
             assert n_char == n
             # the two output halves reassemble the nonzero branch
             assert abs((main + err) - round(main + err)) < 1e-6
@@ -74,7 +83,7 @@ def test_additive_charform_matches_exact(f9):
     for idx in range(30):
         a, b, c, d = seeded_sets(f9, derive_seed(37, idx), 4)
         t = count_additive(f9, a, b, c, d)
-        t_char, _, _ = count_additive_charform(f9, a, b, c, d)
+        t_char, _, _ = additive_charform(f9, a, b, c, d)
         assert t_char == t
 
 
@@ -122,10 +131,11 @@ def test_exceptional_set_known_cases(f5):
 
 
 def test_exceptional_set_matches_brute(f11):
+    tables = op_tables(f11)
     for idx in range(30):
         f, g, h = seeded_sets(f11, derive_seed(43, idx), 3)
         e = exceptional_set(f11, f, g, h)
-        assert np.array_equal(e.membership, brute_exceptional_mask(f11, f, g, h))
+        assert np.array_equal(e.membership, brute_exceptional_mask(tables, f, g, h))
 
 
 def test_sarkozy_identity_known_and_seeded(f5, f7, f11):
@@ -170,6 +180,6 @@ def test_rounding_drift_guard_fires_on_broken_transform(f7, monkeypatch):
     real = ffb.characters._transform
     monkeypatch.setattr(ffb.characters, "_transform", lambda v: real(v) + 0.25)
     with pytest.raises(RoundingDrift):
-        count_bilinear_charform(f7, a, b, c, d, 1)
+        bilinear_charform(f7, a, b, c, d, 1)
     with pytest.raises(RoundingDrift):
-        count_additive_charform(f7, a, b, c, d)
+        additive_charform(f7, a, b, c, d)

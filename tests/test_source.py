@@ -31,3 +31,65 @@ def test_no_quadratic_convolution():
             and any(alias.name == "convolve" for alias in node.names))
     ]
     assert not found, f"numpy.convolve in src/ffb: {found}"
+
+
+# Methods that change the object they are called on.
+MUTATORS = {"append", "extend", "insert", "pop", "popitem", "remove", "clear", "update",
+            "setdefault", "add", "discard", "sort", "reverse", "__setitem__", "__delitem__"}
+
+
+def _root_name(node):
+    """The name at the base of an attribute or subscript chain, or None."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _module_names(tree):
+    """(variables, every name) bound by the module's top-level statements."""
+    variables, bound = set(), set()
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                variables.add(node.id)
+            elif isinstance(node, ast.alias):
+                bound.add((node.asname or node.name).split(".")[0])
+            if node is not stmt and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                break
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(stmt.name)
+    return variables, variables | bound
+
+
+def _local_names(func):
+    names = {arg.arg for arg in ast.walk(func.args) if isinstance(arg, ast.arg)}
+    names |= {node.id for node in ast.walk(func)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    return names
+
+
+def test_functions_write_no_module_state():
+    # state kept between calls belongs to the caller (an Instance, a command),
+    # never to a module: no global statement, no store into a module-level
+    # name and no mutating method called on one
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        variables, bound = _module_names(tree)
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            local = _local_names(func)
+            for node in ast.walk(func):
+                if isinstance(node, ast.Global):
+                    found.add(f"{path.name}:{node.lineno} global")
+                elif (isinstance(node, (ast.Attribute, ast.Subscript))
+                      and isinstance(node.ctx, (ast.Store, ast.Del))
+                      and _root_name(node) in bound - local):
+                    found.add(f"{path.name}:{node.lineno} store into {_root_name(node)}")
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in MUTATORS
+                      and _root_name(node.func.value) in variables - local):
+                    found.add(f"{path.name}:{node.lineno} "
+                              f"{_root_name(node.func.value)}.{node.func.attr}()")
+    assert not found, f"functions in src/ffb write module state: {sorted(found)}"
