@@ -9,10 +9,12 @@ nothing to any character sum.  Counting code re-adds zero contributions
 combinatorially, which is what makes its identities exact.
 
 A full table over all q-1 characters is one discrete Fourier transform of
-length M = q-1 of the summed weights laid out in dlog order, computed by
-numpy's FFT.  The tables are floats; callers that need integers (the
-character-route counters) check the rounding residual of their final
-reduction, which is where float64 precision runs out first.
+length M = q-1 of the summed weights laid out in dlog order.  The weights
+are real, so one real FFT (numpy's rfft) gives half of the table and the
+other half is its exact complex-conjugate mirror.  The tables are floats;
+callers that need integers (the character-route counters) check the
+rounding residual of their final reduction, which is where float64
+precision runs out first.
 """
 
 from __future__ import annotations
@@ -28,8 +30,17 @@ from .repfn import FqSubset, RepFn, rep_product
 
 
 def _transform(v: np.ndarray) -> np.ndarray:
-    """out[j] = sum over t of v[t] * e(2*pi*i*j*t/M), one length-M FFT."""
-    return np.fft.ifft(v) * len(v)
+    """out[j] = sum over t of v[t] * e(2*pi*i*j*t/M) for real v of length M.
+
+    One real FFT h = rfft(v) gives out[j] = conj(h[j]) for j <= M/2, and the
+    rest is its Hermitian mirror out[M - j] = h[j], so out[M - j] is
+    exactly conj(out[j]).
+    """
+    h = np.fft.rfft(v)
+    out = np.empty(len(v), dtype=np.complex128)
+    out[: h.size] = h.conj()
+    out[h.size:] = h[len(v) - h.size: 0: -1]
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,8 +17,14 @@ per element, and b = 2^-50, since its twiddles come from accurately reduced
 sin/cos tables.  When the bound on the actual input norms is not below
 ROUND_BUDGET = 0.25, both inputs are split into base-2^s limbs with the
 widest s for which every output weight passes, and the rounded weights are
-recombined in int64.  Over F_{2^k} the additive convolution is an integer
-Walsh-Hadamard transform, exact without any bound.
+recombined in int64.
+
+Over F_{2^k} the additive convolution is a Walsh-Hadamard transform applied
+as float64 products of Hadamard matrices of at most 64 rows, on base-2^s
+limbs with s = 53 - k.  No rounding occurs and no bound is needed: every
+value and partial sum is an integer of modulus at most 2^53, which float64
+holds exactly in any summation order.  Dividing the inverse by q inside the
+limb recombination is exact while s >= k, so q <= 2^26; larger q is refused.
 """
 
 from __future__ import annotations
@@ -40,6 +46,10 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 # Assumed absolute error of each pocketfft twiddle factor: they are built
 # from accurately reduced sin/cos tables, a few ulps at most.
 _TWIDDLE_ERROR = 2.0 ** -50
+# Every integer of modulus at most 2^53 is a float64.
+_FLOAT_EXACT_BITS = 53
+# Largest Hadamard factor of the Walsh-Hadamard transform: 2^6 x 2^6.
+_HADAMARD_BITS = 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,7 +63,7 @@ class FqSubset:
     def from_mask(cls, mask: np.ndarray) -> FqSubset:
         """Freeze a fresh boolean mask (made read-only, not copied) as a subset."""
         mask.flags.writeable = False
-        return cls(membership=mask, size=int(mask.sum()))
+        return cls(membership=mask, size=int(np.count_nonzero(mask)))
 
     def star_size(self) -> int:
         """Cardinality of the subset with the zero element removed."""
@@ -214,36 +224,92 @@ def _cyclic_convolve(u: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
-    """Unnormalised Walsh-Hadamard transform of a length-2^k array, as a new array.
+def _sylvester_hadamard(n: int) -> np.ndarray:
+    """The read-only n x n Sylvester Hadamard matrix, n a power of two, in float64.
 
-    Entry j is the sum of a[x] * (-1)^popcount(x & j); applying it twice
-    multiplies by 2^k.
+    Entry (i, j) is (-1)^popcount(i & j), so its leading r x r block is the
+    order-r one for every power of two r <= n.
     """
-    h = 1
-    while h < a.size:
-        pairs = a.reshape(-1, 2, h)
-        lo, hi = pairs[:, 0], pairs[:, 1]
-        a = np.stack((lo + hi, lo - hi), axis=1).reshape(-1)
-        h *= 2
-    return a
+    h = np.ones((1, 1))
+    while h.shape[0] < n:
+        h = np.block([[h, h], [h, -h]])
+    h.flags.writeable = False
+    return h
+
+
+_HADAMARD = _sylvester_hadamard(1 << _HADAMARD_BITS)
+
+
+def _hadamard_float(x: np.ndarray) -> np.ndarray:
+    """Unnormalised Walsh-Hadamard transform of a float64 array of length 2^k.
+
+    H_{2^k} is the Kronecker product of Sylvester factors of at most 2^6
+    rows, one per group of index bits (Fino and Algazi, IEEE Trans.
+    Computers C-25, 1976).  Each factor is one matrix product along its
+    group's axis of x viewed as (leading, group, trailing), and H is
+    symmetric, so the last group is a product on the right.  For integer
+    input of l1 norm at most 2^53 the result is exact: every entry and
+    every partial sum of every product is a signed sum of distinct input
+    entries, an integer of modulus at most 2^53, so each float64 operation
+    is exact in any order, blocking or FMA.
+    """
+    k = x.size.bit_length() - 1
+    factors = -(-k // _HADAMARD_BITS)
+    done = 0
+    for i in range(factors):
+        bits = k // factors + (i < k % factors)
+        h = _HADAMARD[: 1 << bits, : 1 << bits]
+        if done + bits < k:
+            x = np.matmul(h, x.reshape(1 << done, 1 << bits, -1))
+        else:
+            x = x.reshape(-1, 1 << bits) @ h
+        done += bits
+    return x.ravel()
+
+
+def _walsh_hadamard(x: np.ndarray, shift: int = 0) -> np.ndarray:
+    """Unnormalised Walsh-Hadamard transform of an int64 array of length 2^k,
+    divided by 2^shift <= 2^(53 - k), as a new int64 array.
+
+    Entry j is the sum of x[i] * (-1)^popcount(i & j), exact whenever the
+    quotient fits int64 and the division leaves no remainder.  x is split
+    into base-2^s limbs with s = 53 - k, the low ones unsigned and the top
+    one signed, so every limb has l1 norm at most 2^k * 2^s = 2^53 and
+    _hadamard_float transforms it exactly.  The limb transforms w_i
+    recombine in wrapping int64 as (w_0 >> shift) + sum of
+    w_i << (s i - shift): every term after the first is a multiple of 2^s,
+    so when the whole is a multiple of 2^shift, w_0 is one too.
+    """
+    k = x.size.bit_length() - 1
+    width = _FLOAT_EXACT_BITS - k
+    bits = max(int(x.max()), ~int(x.min())).bit_length()
+    limbs = max(1, -(-bits // width))
+    for i in range(limbs):
+        limb = x >> (width * i)
+        if i < limbs - 1:
+            limb &= (1 << width) - 1
+        w = _hadamard_float(limb.astype(np.float64)).astype(np.int64)
+        if i == 0:
+            out = w >> shift
+        else:
+            out += w << (width * i - shift)
+    return out
 
 
 def _xor_convolve(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """out[z] = sum over x of u[x] * v[x ^ z], exact for nonnegative int64 input
-    whose mass product sum(u) * sum(v) is below 2^63.
+    of length q = 2^k <= 2^26 whose mass product sum(u) * sum(v) is below 2^63.
 
     Every transformed entry is at most that mass, so the pointwise product
-    fits in int64.  The inverse transform of the product would not, so it
-    runs on two 32-bit limbs, each far inside int64 for q <= 2^31:
-    q * out = 2^32 * H + L with H, L the transforms of the limbs.  L is a
-    multiple of q because 2^32 * H is, which gives out without overflow.
+    fits in int64, and out = WHT(WHT(u) * WHT(v)) / q.  The division is
+    exact in _walsh_hadamard when its limb width 53 - k is at least k,
+    which sets the limit on q; larger q is refused before any allocation.
     """
-    prod = _walsh_hadamard(u) * _walsh_hadamard(v)
-    high = _walsh_hadamard(prod >> 32)
-    low = _walsh_hadamard(prod & 0xFFFFFFFF)
     k = u.size.bit_length() - 1
-    return (high << (32 - k)) + (low >> k)
+    if 2 * k > _FLOAT_EXACT_BITS:
+        raise IntegerOverflow(
+            f"q = 2^{k}: the exact Walsh-Hadamard convolution needs q <= 2^26")
+    return _walsh_hadamard(_walsh_hadamard(u) * _walsh_hadamard(v), shift=k)
 
 
 def _add_convolve(field: FieldSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:

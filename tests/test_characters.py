@@ -5,6 +5,7 @@ import cmath
 import numpy as np
 import pytest
 
+from ffb.bounds import compute_V, compute_W
 from ffb.characters import (
     char_eval,
     repfn_char_sums,
@@ -13,7 +14,7 @@ from ffb.characters import (
 )
 from ffb.errors import BadExponent, BadParam
 from ffb.field import field_mul, field_sub
-from ffb.repfn import RepFn, full_subset, rep_product, subset_from_codes
+from ffb.repfn import RepFn, full_subset, rep_product, rep_sum, subset_from_codes
 from ffb.setsgen import SetSpec, derive_seed, realize, stream_value
 
 TOL = 1e-9
@@ -150,3 +151,21 @@ def test_shifted_product_matches_double_loop(f7, f9, f16):
         for table, direct in cases:
             for j in range(q - 1):
                 assert abs(table.values[j] - direct(j)) < table_tol(field)
+
+
+def test_tables_are_exactly_hermitian_and_extremes_sit_in_the_first_half(f7, f11, f16):
+    # one real FFT and its mirror: entry M - j is exactly conj(entry j), so
+    # |T(j)| = |T(M - j)| and the first maximum is at some j <= M/2
+    for field in (f7, f11, f16):
+        m = field.q - 1
+        for idx in range(10):
+            a, b = (realize(field, SetSpec("random", (1 + stream_value(41, 2 * idx + s) % field.q,)),
+                            derive_seed(41, field.q, idx, s)) for s in range(2))
+            lam = stream_value(43, idx) % field.q
+            t_w = shifted_product_char_sums(field, a, b, lam)
+            t_v = repfn_char_sums(field, rep_sum(field, a, b))
+            for table in (set_char_sums(field, a).values, t_w.values, t_v.values):
+                assert table[0].imag == 0
+                assert np.array_equal(table[:0:-1], np.conj(table[1:]))
+            assert compute_W(field, t_w).argmax_j <= m / 2
+            assert compute_V(field, t_v).argmax_j <= m / 2

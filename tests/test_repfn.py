@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffb.counters import count_bilinear, count_general
 from ffb.errors import BadParam, IntegerOverflow
@@ -12,6 +14,8 @@ from ffb.repfn import (
     _add_convolve,
     _cyclic_convolve,
     _rfft_error_bound,
+    _walsh_hadamard,
+    _xor_convolve,
     additive_convolve,
     complement_subset,
     empty_subset,
@@ -274,3 +278,61 @@ def test_additive_convolve_refuses_negative_counts(f7, f16):
         signed[1] = -1
         with pytest.raises(BadParam):
             additive_convolve(field, RepFn(counts=signed), ones)
+
+
+def stack_walsh_hadamard(a):
+    """The butterfly int64 Walsh-Hadamard transform, one np.stack per level."""
+    h = 1
+    while h < a.size:
+        pairs = a.reshape(-1, 2, h)
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        a = np.stack((lo + hi, lo - hi), axis=1).reshape(-1)
+        h *= 2
+    return a
+
+
+def stack_xor_convolve(u, v):
+    """XOR convolution on the butterfly transform, the inverse on two 32-bit
+    limbs: q * out = 2^32 * H + L, where L is a multiple of q because 2^32 * H is."""
+    prod = stack_walsh_hadamard(u) * stack_walsh_hadamard(v)
+    high = stack_walsh_hadamard(prod >> 32)
+    low = stack_walsh_hadamard(prod & 0xFFFFFFFF)
+    k = u.size.bit_length() - 1
+    return (high << (32 - k)) + (low >> k)
+
+
+@pytest.mark.parametrize("k", range(1, 15))
+def test_walsh_hadamard_matches_the_butterfly_oracle(k):
+    # k = 7 and 13 take mixed Hadamard factor sizes; signed entries up to
+    # 2^62 / q take several limbs, the top one negative
+    rng = np.random.default_rng(17 + k)
+    q = 1 << k
+    x = rng.integers(-(1 << 62) // q, (1 << 62) // q, q, dtype=np.int64)
+    assert np.array_equal(_walsh_hadamard(x), stack_walsh_hadamard(x))
+    u = rng.integers(0, 1 << 20, q, dtype=np.int64)
+    v = rng.integers(0, (1 << 62) // (q * int(u.sum())) + 2, q, dtype=np.int64)
+    assert int(u.sum()) * int(v.sum()) < 1 << 63
+    assert np.array_equal(_xor_convolve(u, v), stack_xor_convolve(u, v))
+
+
+def test_xor_convolve_of_quarter_sets_at_k20():
+    # transformed products reach 2^36 > 2^(53 - 20), so the inverse takes two limbs
+    rng = np.random.default_rng(18)
+    u, v = ((rng.random(1 << 20) < 0.25).astype(np.int64) for _ in range(2))
+    assert (_walsh_hadamard(u) * _walsh_hadamard(v)).max() >= 1 << 33
+    assert np.array_equal(_xor_convolve(u, v), stack_xor_convolve(u, v))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 12), st.integers(0, 62), st.integers(0, 1 << 32))
+def test_walsh_hadamard_twice_is_q_times_the_input(k, bits, seed):
+    q = 1 << k
+    bits = min(bits, 62 - k)  # keeps q * x and every l1 norm inside int64
+    x = np.random.default_rng(seed).integers(-(1 << bits), 1 << bits, q, dtype=np.int64)
+    assert np.array_equal(_walsh_hadamard(_walsh_hadamard(x)), x * q)
+
+
+def test_xor_convolve_refuses_q_above_2_to_26():
+    # broadcast views take no memory: the refusal must come before any allocation
+    with pytest.raises(IntegerOverflow, match="2\\^26"):
+        _xor_convolve(*(np.broadcast_to(np.int64(1), 1 << 27) for _ in range(2)))

@@ -33,6 +33,30 @@ def test_no_quadratic_convolution():
     assert not found, f"numpy.convolve in src/ffb: {found}"
 
 
+def _is_numpy(node):
+    return isinstance(node, ast.Name) and node.id in ("np", "numpy")
+
+
+def test_no_complex_transform_of_real_data():
+    # character tables are one real FFT and its mirror, and the F_{2^k}
+    # transform is BLAS products of Hadamard factors: no complex FFT of real
+    # weights and no butterfly of np.stack levels
+    found = [
+        f"{path.name}:{node.lineno} {node.attr if isinstance(node, ast.Attribute) else node.module}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and node.attr in ("fft", "ifft")
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "fft"
+            and _is_numpy(node.value.value))
+        or (isinstance(node, ast.Attribute) and node.attr == "stack" and _is_numpy(node.value))
+        or (isinstance(node, ast.ImportFrom) and node.module == "numpy.fft"
+            and any(alias.name in ("fft", "ifft") for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "numpy"
+            and any(alias.name == "stack" for alias in node.names))
+    ]
+    assert not found, f"complex FFT or np.stack in src/ffb: {found}"
+
+
 # Methods that change the object they are called on.
 MUTATORS = {"append", "extend", "insert", "pop", "popitem", "remove", "clear", "update",
             "setdefault", "add", "discard", "sort", "reverse", "__setitem__", "__delitem__"}
