@@ -183,8 +183,9 @@ def _compute(op: str, inst: Instance, lam: int | None, extra: dict) -> tuple[dic
         # sumprod.count_determinant2: a*d - b*c = lam is a*d + (-b)*c = lam
         return {"n": inst.bilinear("a", "d", "-b", "c", lam)}, True
     if op == "exceptional":
-        e = counters.exceptional_set(field, sets["f"], sets["g"], sets["h"])
-        ok = counters.verify_sarkozy_identity(field, sets["f"], sets["g"], sets["h"], e)
+        r_gh = inst.product("g", "h")
+        e = counters.exceptional_set(field, sets["f"], sets["g"], sets["h"], r_gh)
+        ok = counters.verify_sarkozy_identity(field, sets["f"], sets["g"], sets["h"], e, r_gh)
         ratio = e.size * sets["f"].size * sets["g"].size * sets["h"].size / field.q ** 3
         return {"e_size": e.size, "sarkozy_ok": ok, "ratio": ratio}, ok
     if op == "solvability":

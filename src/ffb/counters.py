@@ -134,18 +134,22 @@ def fold_products(field: FieldSpec, reps: list[RepFn]) -> RepFn:
     return acc
 
 
-def exceptional_set(field: FieldSpec, f: FqSubset, g: FqSubset, h: FqSubset) -> FqSubset:
+def exceptional_set(field: FieldSpec, f: FqSubset, g: FqSubset, h: FqSubset,
+                    r_gh: RepFn | None = None) -> FqSubset:
     """All lam in F_q with no solution of f + g*h = lam, as a subset.
 
     lam is attainable exactly when it lies in F + G*H, so the set is where
     the additive convolution of F with the product set G*H (the support of
-    r_GH) vanishes."""
-    gh = FqSubset.from_mask(rep_product(field, g, h).counts > 0)
+    r_GH) vanishes.  r_gh is rep_product(field, g, h), built here unless the
+    caller holds it."""
+    if r_gh is None:
+        r_gh = rep_product(field, g, h)
+    gh = FqSubset.from_mask(r_gh.counts > 0)
     return FqSubset.from_mask(rep_sum(field, f, gh).counts == 0)
 
 
 def verify_sarkozy_identity(field: FieldSpec, f: FqSubset, g: FqSubset,
-                            h: FqSubset, e: FqSubset) -> bool:
+                            h: FqSubset, e: FqSubset, r_gh: RepFn | None = None) -> bool:
     """Check that the no-solution set e = exceptional_set(field, f, g, h) is
     invisible to the additive counter.
 
@@ -153,7 +157,12 @@ def verify_sarkozy_identity(field: FieldSpec, f: FqSubset, g: FqSubset,
     no solutions either, since it rearranges to f + g*h = e.  Negating the
     first product-set argument alongside the exceptional set is what makes
     the rearrangement an identity; without it the count can be positive
-    for asymmetric product sets.  Returns True when the count is zero.
+    for asymmetric product sets.  That count, count_additive(field, -e, f,
+    -g, h), is taken on its negated form e + (-f) = g*h, whose tuples are
+    the same: additive_count of r_{E+(-F)} against r_GH, so the r_gh that
+    exceptional_set used serves here too (built here unless the caller
+    holds it).  Returns True when the count is zero.
     """
-    return count_additive(field, negate_subset(field, e), f,
-                          negate_subset(field, g), h) == 0
+    if r_gh is None:
+        r_gh = rep_product(field, g, h)
+    return additive_count(rep_sum(field, e, negate_subset(field, f)), r_gh) == 0

@@ -6,18 +6,30 @@ exact int64 arrays indexed by element code; character-based evaluations
 elsewhere are cross-checks of these, never a replacement.
 
 Every cyclic convolution over Z_m (rep_product over Z_{q-1}; rep_sum and
-additive_convolve over a prime field) is one float64 rfft/irfft of a
-power-of-two size N = 2^n >= 2m - 1, certified before any transform by
+additive_convolve over a prime field) is computed by float64 rfft/irfft of
+a power-of-two size N = 2^n >= 2m - 1, certified before any transform by
 Percival's bound (Math. Comp. 72 (2003), Thm 5.1; see Higham, Accuracy and
 Stability of Numerical Algorithms, ch. 24): every entry is off by less than
 ||x|| ||y|| ((1+e)^3n (1+e sqrt5)^(3n+1) (1+b)^3n - 1), with unit roundoff
 e = 2^-53 and twiddle error b.  For numpy's pocketfft the bound is taken
 with n radix-2 levels, which its radix-4 passes do not exceed in roundings
 per element, and b = 2^-50, since its twiddles come from accurately reduced
-sin/cos tables.  When the bound on the actual input norms is not below
-ROUND_BUDGET = 0.25, both inputs are split into base-2^s limbs with the
-widest s for which every output weight passes, and the rounded weights are
-recombined in int64.
+sin/cos tables.  Two plans are certified this way, in this order:
+
+- packed: both inputs ride in one real vector w = u + 2^s v, with s the
+  bit length of max(sum(u) max(u), 2 min(sum(u) max(v), sum(v) max(u))),
+  so that u*u < 2^s and 2 (u*v) < 2^s entrywise.  Then
+  w*w = u*u + 2^(s+1) (u*v) + 2^(2s) (v*v) has u*v alone in its middle
+  digit, u*v = (w*w >> (s+1)) & (2^(s-1) - 1): one rfft, one pointwise
+  square and one irfft.  It applies when w is exact in float64 and the
+  bound with ||w||^2 for ||x|| ||y|| is below ROUND_BUDGET = 0.25, which
+  holds for indicator vectors up to about q = 2^15 with sets of a few
+  thousand elements (the bound is 9.0e-4 at q = 8191 with 1024-element
+  sets, 1.10 at q = 65521 with 16000-element sets).
+- limbs: otherwise, when the bound on ||u|| ||v|| is below ROUND_BUDGET,
+  one rfft of each input; if not, both inputs are split into base-2^s
+  limbs with the widest s for which every output weight passes, and the
+  rounded weights are recombined in int64.
 
 Over F_{2^k} the additive convolution is a Walsh-Hadamard transform applied
 as float64 products of Hadamard matrices of at most 64 rows, on base-2^s
@@ -184,14 +196,53 @@ def _limb_split(u: np.ndarray, v: np.ndarray, size: int) -> tuple[int, int]:
     raise IntegerOverflow(f"no limb width certifies a convolution of {bits}-bit entries")
 
 
-def _cyclic_convolve(u: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
-    """out[z] = sum over x of u[x] * v[(z - x) mod m], as a new int64 array.
+def _packed_convolve(u: np.ndarray, v: np.ndarray, m: int, size: int) -> np.ndarray | None:
+    """The packed plan of _cyclic_convolve: u * v from one real transform
+    pair, or None when the a-priori bound does not certify it.
 
-    Exact for nonnegative int64 inputs of length m whose mass product
-    sum(u) * sum(v) is below 2^63 (callers guard it), so every entry and
-    partial sum fits.  Both inputs are zero-padded to the power of two
-    size >= 2m - 1, so the linear convolution does not wrap; it is rounded
-    entrywise and folded mod m in int64.
+    With su, sv the sums and mu, mv the maxima of the inputs, every entry
+    satisfies (u*u)[z] <= su mu and (u*v)[z] <= min(su mv, sv mu), each term
+    being at most one input entry times the other input's maximum.  So
+    s = bit_length(max(su mu, 2 min(su mv, sv mu))) >= 1 gives u*u < 2^s and
+    u*v < 2^(s-1) entrywise, cyclically folded or not.  The packed vector
+    w = u + 2^s v has w*w = X = u*u + 2^(s+1) (u*v) + 2^(2s) (v*v): the low
+    s + 1 bits of X hold u*u alone, the next s - 1 bits hold u*v alone, so
+    u*v = (X >> (s+1)) & (2^(s-1) - 1).
+
+    w is built in one zero-padded float64 buffer, exact when
+    s + bit_length(mv) <= 52.  Percival's bound holds with x = y, so the
+    plan is taken when _rfft_error_bound(n2, size) < ROUND_BUDGET for
+    n2 = su mu + 2^(s+1) min(su mv, sv mu) + 2^(2s) sv mv, which bounds
+    ||w||^2 = ||u||^2 + 2^(s+1) <u, v> + 2^(2s) ||v||^2 term by term.
+    Every computed entry is then within 0.25 of X, and X <= ||w||^2 < 2^53
+    (the bound exceeds 2 e ||w||^2 at every size), so rounding gives X
+    exactly, and so does the fold mod m.  The sums are taken in int64 and
+    n2 in Python integers, never in the input dtype, which wraps for bool
+    and uint8.
+    """
+    su, sv = (int(x.sum(dtype=np.int64)) for x in (u, v))
+    mu, mv = (int(x.max()) for x in (u, v))
+    cross = min(su * mv, sv * mu)
+    s = max(1, max(su * mu, 2 * cross).bit_length())
+    if (s + mv.bit_length() > _FLOAT_EXACT_BITS - 1
+            or _rfft_error_bound(float(su * mu + (cross << (s + 1)) + (sv * mv << (2 * s))),
+                                 size) >= ROUND_BUDGET):
+        return None
+    buf = np.zeros(size)
+    w = buf[:m]
+    np.multiply(v, 2.0 ** s, out=w)
+    w += u
+    h = np.fft.rfft(buf)
+    h *= h
+    lin = np.fft.irfft(h, size, out=buf)[: 2 * m - 1]
+    np.rint(lin, out=lin)
+    lin[: m - 1] += lin[m:]
+    return (lin[:m].astype(np.int64) >> (s + 1)) & ((1 << (s - 1)) - 1)
+
+
+def _limb_convolve(u: np.ndarray, v: np.ndarray, m: int, size: int) -> np.ndarray:
+    """The limb plan of _cyclic_convolve, for inputs the packed plan does
+    not certify.
 
     Before any transform, _limb_split evaluates Percival's bound
     (_rfft_error_bound) on the input norms and picks the widest limb width
@@ -201,7 +252,6 @@ def _cyclic_convolve(u: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
     every q up to 2^20; products of representation functions take a few.
     A limb spectrum is dropped after the last weight that uses it.
     """
-    size = 1 << (2 * m - 2).bit_length()
     width, limbs = _limb_split(u, v, size)
     mask = (1 << width) - 1
     spectra: tuple[dict, dict] = ({}, {})
@@ -222,6 +272,22 @@ def _cyclic_convolve(u: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
         lin[: m - 1] += lin[m:]
         out += lin[:m] << (width * w)
     return out
+
+
+def _cyclic_convolve(u: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
+    """out[z] = sum over x of u[x] * v[(z - x) mod m], as a new int64 array.
+
+    Exact for nonnegative integer or bool inputs of length m whose mass
+    product sum(u) * sum(v) is below 2^63 (callers guard it), so every entry
+    and partial sum fits.  Both inputs are zero-padded to the power of two
+    size >= 2m - 1, so the linear convolution does not wrap; it is rounded
+    entrywise and folded mod m.  The packed plan (one rfft, one irfft) is
+    taken whenever its a-priori bound certifies it; otherwise the limb plan
+    (one rfft per limb of each input, one irfft per output weight).
+    """
+    size = 1 << (2 * m - 2).bit_length()
+    out = _packed_convolve(u, v, m, size)
+    return out if out is not None else _limb_convolve(u, v, m, size)
 
 
 def _sylvester_hadamard(n: int) -> np.ndarray:
@@ -339,11 +405,9 @@ def rep_product(field: FieldSpec, a: FqSubset, b: FqSubset) -> RepFn:
     The nonzero part is a cyclic convolution of dlog indicator vectors
     over Z_{q-1}; the zero row has a closed form.
     """
-    m = field.q - 1
-    u = a.membership[field.exp].astype(np.int64)
-    v = b.membership[field.exp].astype(np.int64)
     counts = np.zeros(field.q, dtype=np.int64)
-    counts[field.exp] = _cyclic_convolve(u, v, m)
+    counts[field.exp] = _cyclic_convolve(a.membership[field.exp], b.membership[field.exp],
+                                         field.q - 1)
     counts[0] = a.zero_product_pairs(b)
     counts.flags.writeable = False
     return RepFn(counts=counts)

@@ -330,6 +330,17 @@ def test_count_additive_builds_the_sum_once(capsys, monkeypatch, tmp_path):
     assert calls() == {"rep_sum": 1}
 
 
+@pytest.mark.parametrize("p", ["13", "2 --k 6"])
+def test_exceptional_builds_the_product_once(capsys, monkeypatch, tmp_path, p):
+    calls = count_calls_everywhere(monkeypatch, ("rep_product",), tmp_path / "log")
+    code, recs, _ = run_json(capsys, ["exceptional", "--p", *p.split(), "--f", "random:3",
+                                      "--g", "random:4", "--h", "random:2", "--seed", "5",
+                                      "--no-timing"])
+    assert code == 0 and recs[0]["sarkozy_ok"] is True
+    # r_GH serves both the exceptional set and the Sarkozy check
+    assert calls() == {"rep_product": 1}
+
+
 @pytest.mark.parametrize("shape", [(7, 1), (3, 2), (2, 4)], ids=["f7", "f9", "f16"])
 @pytest.mark.parametrize("op", ["count", "det2", "solvability", "bounds"])
 def test_every_lambda_record_matches_its_single_lambda_command(capsys, op, shape):

@@ -16,7 +16,7 @@ from ffb.counters import (
 from ffb.errors import BadParam, RoundingDrift
 from ffb.field import field_add, field_mul
 from ffb.instance import Instance
-from ffb.repfn import empty_subset, full_subset, subset_from_codes
+from ffb.repfn import empty_subset, full_subset, negate_subset, rep_product, subset_from_codes
 from ffb.selfcheck import brute_exceptional_mask, grid_tuple, op_tables
 from ffb.setsgen import SetSpec, derive_seed, realize, stream_value
 
@@ -149,6 +149,26 @@ def test_sarkozy_identity_known_and_seeded(f5, f7, f11):
     for idx in range(20):
         f, g, h = seeded_sets(f11, derive_seed(47, idx), 3)
         assert verify_sarkozy_identity(f11, f, g, h, exceptional_set(f11, f, g, h))
+
+
+def test_sarkozy_check_is_the_negated_additive_count(f9, f11, f16):
+    # on a seeded e as well as on the exceptional set: the check is
+    # count_additive(-e, f, -g, h) == 0, with or without a held r_GH
+    outcomes = set()
+    for field in (f9, f11, f16):
+        for idx in range(20):
+            seeded, f, g, h = seeded_sets(field, derive_seed(48, field.q, idx), 4)
+            r_gh = rep_product(field, g, h)
+            exceptional = exceptional_set(field, f, g, h, r_gh)
+            assert np.array_equal(exceptional.membership,
+                                  exceptional_set(field, f, g, h).membership)
+            for e in (seeded, exceptional):
+                expect = count_additive(field, negate_subset(field, e), f,
+                                        negate_subset(field, g), h) == 0
+                assert verify_sarkozy_identity(field, f, g, h, e) == expect
+                assert verify_sarkozy_identity(field, f, g, h, e, r_gh) == expect
+                outcomes.add(expect)
+    assert outcomes == {True, False}
 
 
 def test_counts_monotone_in_each_set(f9):

@@ -13,6 +13,8 @@ from ffb.repfn import (
     RepFn,
     _add_convolve,
     _cyclic_convolve,
+    _limb_convolve,
+    _packed_convolve,
     _rfft_error_bound,
     _walsh_hadamard,
     _xor_convolve,
@@ -336,3 +338,116 @@ def test_xor_convolve_refuses_q_above_2_to_26():
     # broadcast views take no memory: the refusal must come before any allocation
     with pytest.raises(IntegerOverflow, match="2\\^26"):
         _xor_convolve(*(np.broadcast_to(np.int64(1), 1 << 27) for _ in range(2)))
+
+
+def padded_size(m):
+    return 1 << (2 * m - 2).bit_length()
+
+
+def both_plans(u, v, m):
+    """(packed plan or None, limb plan) of the cyclic convolution over Z_m."""
+    return _packed_convolve(u, v, m, padded_size(m)), _limb_convolve(u, v, m, padded_size(m))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(1, 700), st.integers(1, 4), st.floats(0, 1), st.floats(0, 1),
+       st.integers(0, 1 << 32))
+def test_packed_plan_matches_limb_plan_and_oracle(m, top, du, dv, seed):
+    # indicator vectors (top = 1) and small counts, at every density
+    rng = np.random.default_rng(seed)
+    u, v = ((rng.random(m) < d) * rng.integers(1, top + 1, m) for d in (du, dv))
+    packed, limbs = both_plans(u, v, m)
+    assert packed is not None
+    assert packed.dtype == np.int64
+    assert packed.tolist() == limbs.tolist() == cyclic_oracle(u, v, m).tolist()
+
+
+def test_packed_plan_at_full_digit_loads():
+    # A = B a multiplicative subgroup: u * u reaches su at every multiple of
+    # the index, the most the low digit is sized for; u is v itself
+    for q, indices in ((257, (1, 2, 16, 128)), (8191, (1, 2, 63, 4095))):
+        field = make_field(q)
+        for index in indices:
+            sub = subset_from_codes(field, field.exp[::index])
+            u = sub.membership[field.exp]
+            out = _packed_convolve(u, u, q - 1, padded_size(q - 1))
+            expect = cyclic_oracle(u.astype(np.int64), u.astype(np.int64), q - 1)
+            assert expect.max() == sub.size
+            assert out.tolist() == expect.tolist()
+            assert rep_product(field, sub, sub).counts[field.exp].tolist() == expect.tolist()
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 257, 1021])
+def test_packed_plan_on_empty_full_and_single_sets(q):
+    field = make_field(q)
+    m = q - 1
+    sets = [empty_subset(field), full_subset(field), subset_from_codes(field, [1]),
+            subset_from_codes(field, [q - 1]), subset_from_codes(field, [0])]
+    for a in sets:
+        for b in sets:
+            u, v = a.membership[field.exp], b.membership[field.exp]
+            packed, limbs = both_plans(u, v, m)
+            expect = cyclic_oracle(u.astype(np.int64), v.astype(np.int64), m)
+            assert packed.tolist() == limbs.tolist() == expect.tolist()
+
+
+def count_transforms(monkeypatch):
+    """Wrap np.fft.rfft and np.fft.irfft with call counters."""
+    calls = {"rfft": 0, "irfft": 0}
+    for name in calls:
+        original = getattr(np.fft, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("dtype", [bool, np.uint8])
+def test_narrow_dtypes_take_the_int64_plan_and_result(monkeypatch, dtype):
+    # more than 255 ones: a sum or norm taken in uint8 would wrap
+    rng = np.random.default_rng(19)
+    m = 1500
+    calls = count_transforms(monkeypatch)
+    for du, dv in ((0.5, 0.5), (0.9, 0.2), (1.0, 1.0)):
+        wide = [(rng.random(m) < d).astype(np.int64) for d in (du, dv)]
+        assert min(int(x.sum()) for x in wide) > 255
+        runs = []
+        for arrays in (wide, [x.astype(dtype) for x in wide]):
+            calls.update(rfft=0, irfft=0)
+            runs.append((_cyclic_convolve(*arrays, m).tolist(), dict(calls)))
+        assert runs[0] == runs[1]
+        assert runs[0][1] == {"rfft": 1, "irfft": 1}
+        assert runs[0][0] == cyclic_oracle(*wide, m).tolist()
+
+
+def test_rep_product_takes_one_transform_pair_when_certified(monkeypatch):
+    field = make_field(8191)
+    a, b = (realize(field, SetSpec("random", (1024,)), derive_seed(20, slot))
+            for slot in range(2))
+    calls = count_transforms(monkeypatch)
+    out = rep_product(field, a, b).counts
+    assert calls == {"rfft": 1, "irfft": 1}
+    u, v = (x.membership[field.exp].astype(np.int64) for x in (a, b))
+    assert out[field.exp].tolist() == cyclic_oracle(u, v, field.q - 1).tolist()
+
+
+def test_rep_product_falls_back_to_the_limb_plan(monkeypatch):
+    # the packed bound is 1.10 here: two transforms of one limb, one inverse
+    field = make_field(65521)
+    m = field.q - 1
+    a, b = (realize(field, SetSpec("random", (16000,)), derive_seed(21, slot))
+            for slot in range(2))
+    u, v = (x.membership[field.exp] for x in (a, b))
+    assert _packed_convolve(u, v, m, padded_size(m)) is None
+    calls = count_transforms(monkeypatch)
+    out = rep_product(field, a, b)
+    assert calls == {"rfft": 2, "irfft": 1}
+    assert out.total() == a.size * b.size
+    # the quadratic oracle at 500 entries: out[z] = sum of u[x] v[z - x]
+    u, v = u.astype(np.int64), v.astype(np.int64)
+    x = np.arange(m)
+    for z in np.random.default_rng(22).integers(0, m, 500):
+        assert out.counts[field.exp[z]] == int(np.dot(u, v[(z - x) % m]))
