@@ -6,26 +6,15 @@ from .bounds import (
     compute_V,
     compute_W,
     karatsuba_bound,
-    karatsuba_report,
     solvability_threshold_check,
     vinogradov_bound,
-    vinogradov_check,
 )
-from .characters import (
-    CharSumTable,
-    char_eval,
-    repfn_char_sums,
-    set_char_sums,
-    shifted_product_char_sums,
-)
+from .characters import CharSumTable, char_eval, repfn_char_sums, set_char_sums
 from .counters import (
     additive_count,
-    bilinear_count,
-    count_additive,
     count_additive_charform,
     count_bilinear,
     count_bilinear_charform,
-    count_general,
     exceptional_set,
     fold_products,
     verify_sarkozy_identity,
@@ -64,18 +53,14 @@ from .repfn import (
     complement_subset,
     empty_subset,
     full_subset,
+    negate_repfn,
     negate_subset,
     rep_product,
     rep_sum,
+    shift_repfn,
     subset_from_codes,
 )
 from .setsgen import SetSpec, derive_seed, parse_setspec, realize
-from .sumprod import (
-    count_determinant2,
-    garaev_inequality_report,
-    garaev_solution_count,
-    productset,
-    sumset,
-)
+from .sumprod import garaev_inequality_report, garaev_solution_count
 
 __version__ = "0.1.0"

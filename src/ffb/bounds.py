@@ -12,7 +12,6 @@ observed ratios and never reject on their own.
 Every check takes what it measures as pieces: W and V from their tables,
 the Cauchy and solvability checks from the character route's pieces, so
 one instance measures each once (ffb.instance.Instance).
-vinogradov_check and karatsuba_report measure afresh from the sets.
 """
 
 from __future__ import annotations
@@ -22,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import CharSumTable, repfn_char_sums, shifted_product_char_sums
+from .characters import CharSumTable
 from .counters import count_bilinear_charform
 from .errors import InvariantViolation, LambdaZero, NoNontrivialCharacter
 from .field import FieldSpec
-from .repfn import FqSubset, RepFn, rep_sum
+from .repfn import FqSubset, RepFn
 
 # Absolute slack for comparisons between float maxima.
 SLACK = 1e-9
@@ -53,15 +52,13 @@ class BoundReport:
     empirical_delta: float | None = None
 
 
-def _require_nontrivial(field: FieldSpec) -> None:
+def _extremal(field: FieldSpec, t: CharSumTable) -> BoundReport:
+    """The max modulus over nontrivial characters of t, and its index."""
     if field.q < 3:
         raise NoNontrivialCharacter(f"q = {field.q} has only the trivial character")
-
-
-def _max_nontrivial(values: np.ndarray) -> tuple[float, int]:
-    mods = np.abs(values[1:])
+    mods = np.abs(t.values[1:])
     j = int(np.argmax(mods)) + 1
-    return float(mods[j - 1]), j
+    return BoundReport(w_or_v=float(mods[j - 1]), argmax_j=j)
 
 
 def _ratio(measured: float, bound: float) -> float:
@@ -71,19 +68,15 @@ def _ratio(measured: float, bound: float) -> float:
 
 
 def compute_W(field: FieldSpec, t: CharSumTable) -> BoundReport:
-    """W from its table t = shifted_product_char_sums(field, a, b, lam): the
-    max modulus over nontrivial characters of sum of chi(a*b - lam)."""
-    _require_nontrivial(field)
-    w, j = _max_nontrivial(t.values)
-    return BoundReport(w_or_v=w, argmax_j=j)
+    """W from its table t = Instance.product_table(a, b, lam): the max
+    modulus over nontrivial characters of sum of chi(a*b - lam)."""
+    return _extremal(field, t)
 
 
 def compute_V(field: FieldSpec, t: CharSumTable) -> BoundReport:
-    """V from its table t = repfn_char_sums(field, rep_sum(field, a, b)): the
-    max modulus over nontrivial characters of sum of chi(a + b)."""
-    _require_nontrivial(field)
-    v, j = _max_nontrivial(t.values)
-    return BoundReport(w_or_v=v, argmax_j=j)
+    """V from its table t = Instance.sum_table(a, b): the max modulus over
+    nontrivial characters of sum of chi(a + b)."""
+    return _extremal(field, t)
 
 
 def vinogradov_bound(field: FieldSpec, measured: BoundReport, na: int, nb: int) -> BoundReport:
@@ -98,16 +91,6 @@ def vinogradov_bound(field: FieldSpec, measured: BoundReport, na: int, nb: int) 
         strict=measured.w_or_v < bound,
         argmax_j=measured.argmax_j,
     )
-
-
-def vinogradov_check(field: FieldSpec, a: FqSubset, b: FqSubset,
-                     lam: int | None = None) -> BoundReport:
-    """vinogradov_bound on W at lam measured from the sets, or on V without lam."""
-    if lam is not None:
-        measured = compute_W(field, shifted_product_char_sums(field, a, b, lam))
-    else:
-        measured = compute_V(field, repfn_char_sums(field, rep_sum(field, a, b)))
-    return vinogradov_bound(field, measured, a.size, b.size)
 
 
 def karatsuba_bound(field: FieldSpec, w: BoundReport, na: int, nb: int,
@@ -135,13 +118,6 @@ def karatsuba_bound(field: FieldSpec, w: BoundReport, na: int, nb: int,
     )
 
 
-def karatsuba_report(field: FieldSpec, a: FqSubset, b: FqSubset, lam: int,
-                     r: int = 1, use_p: bool = False) -> BoundReport:
-    """karatsuba_bound on W measured at lam, report only."""
-    w = compute_W(field, shifted_product_char_sums(field, a, b, lam))
-    return karatsuba_bound(field, w, a.size, b.size, r, use_p)
-
-
 def cauchy_error_check(field: FieldSpec, w: BoundReport, err: float, c: FqSubset,
                        d: FqSubset) -> BoundReport:
     """Assertable bound |err| <= W * sqrt(#C* * #D*) on the error term err of
@@ -158,7 +134,7 @@ def cauchy_error_check(field: FieldSpec, w: BoundReport, err: float, c: FqSubset
     )
 
 
-def solvability_threshold_check(field: FieldSpec, r_ab: RepFn, t_ab: CharSumTable,
+def solvability_threshold_check(field: FieldSpec, s_ab: RepFn, t_ab: CharSumTable,
                                 neg_c: FqSubset, d: FqSubset, cd: np.ndarray, lam: int,
                                 n: int) -> BoundReport:
     """Sufficient condition main > sqrt(q * #A * #B * #C* * #D*) for n > 0.
@@ -171,8 +147,8 @@ def solvability_threshold_check(field: FieldSpec, r_ab: RepFn, t_ab: CharSumTabl
     """
     if lam == 0:
         raise LambdaZero("solvability threshold is stated for nonzero targets")
-    _, main, err = count_bilinear_charform(field, r_ab, t_ab, neg_c, d, cd, lam)
-    threshold = math.sqrt(field.q * r_ab.total() * neg_c.star_size() * d.star_size())
+    _, main, err = count_bilinear_charform(field, s_ab, t_ab, neg_c, d, cd)
+    threshold = math.sqrt(field.q * s_ab.total() * neg_c.star_size() * d.star_size())
     fires = main > threshold
     if fires and n == 0:
         raise InvariantViolation(

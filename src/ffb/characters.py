@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadExponent, BadParam
-from .field import FieldSpec, add_codes
-from .repfn import FqSubset, RepFn, rep_product
+from .field import FieldSpec
+from .repfn import FqSubset, RepFn
 
 
 def _transform(v: np.ndarray) -> np.ndarray:
@@ -69,31 +69,14 @@ def char_eval(field: FieldSpec, j: int, x: int, zero_convention: str = "paper") 
     return cmath.exp(2j * cmath.pi * ((j * t) % m) / m)
 
 
-def _weights_in_dlog_order(field: FieldSpec, weights: np.ndarray) -> np.ndarray:
-    """Drop the zero element and lay the rest out as w[t] = weights[g^t]."""
-    return np.asarray(weights, dtype=np.float64)[field.exp]
-
-
 def set_char_sums(field: FieldSpec, a: FqSubset) -> CharSumTable:
     """Table of sums of each character over A, zero excluded from the sum."""
-    v = _weights_in_dlog_order(field, a.membership.astype(np.int64))
-    return CharSumTable(values=_transform(v))
+    return CharSumTable(values=_transform(a.membership[field.exp].astype(np.float64)))
 
 
-def repfn_char_sums(field: FieldSpec, r: RepFn, shift: int = 0) -> CharSumTable:
-    """Table with entry j = sum over x of r[x] * chi_j(x - shift).
+def repfn_char_sums(field: FieldSpec, r: RepFn) -> CharSumTable:
+    """Table with entry j = sum over x of r[x] * chi_j(x), zero excluded.
 
-    Equals the transform of the shifted weights s[y] = r[y + shift] laid
-    out in dlog order; y = 0 never contributes (all-zero convention).
-    """
-    if shift == 0:
-        s = r.counts
-    else:
-        perm = add_codes(field, shift, np.arange(field.q, dtype=np.int64))
-        s = r.counts[perm]
-    return CharSumTable(values=_transform(_weights_in_dlog_order(field, s)))
-
-
-def shifted_product_char_sums(field: FieldSpec, a: FqSubset, b: FqSubset, lam: int) -> CharSumTable:
-    """Entry j = sum over (x,y) in A x B of chi_j(x*y - lam), all-zero at 0."""
-    return repfn_char_sums(field, rep_product(field, a, b), shift=lam)
+    For the sums of r[x] * chi_j(x - lam), pass r shifted by lam
+    (repfn.shift_repfn)."""
+    return CharSumTable(values=_transform(r.counts[field.exp].astype(np.float64)))

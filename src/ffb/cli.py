@@ -175,17 +175,15 @@ def _compute(op: str, inst: Instance, lam: int | None, extra: dict) -> tuple[dic
     if op == "countn":
         pairs = extra["pairs"]
         n = int(inst.fold(pairs).counts[lam])
-        ok = True
-        if len(pairs) == 2:
-            ok = n == inst.bilinear(*pairs[0], *pairs[1], lam)
+        ok = len(pairs) != 2 or n == inst.bilinear(*pairs[0], *pairs[1], lam)
         return {"n": n, "n_pairs": len(pairs)}, ok
     if op == "det2":
-        # sumprod.count_determinant2: a*d - b*c = lam is a*d + (-b)*c = lam
+        # a*d - b*c = lam is a*d + (-b)*c = lam
         return {"n": inst.bilinear("a", "d", "-b", "c", lam)}, True
     if op == "exceptional":
         r_gh = inst.product("g", "h")
-        e = counters.exceptional_set(field, sets["f"], sets["g"], sets["h"], r_gh)
-        ok = counters.verify_sarkozy_identity(field, sets["f"], sets["g"], sets["h"], e, r_gh)
+        e = counters.exceptional_set(field, sets["f"], r_gh)
+        ok = counters.verify_sarkozy_identity(field, sets["f"], e, r_gh)
         ratio = e.size * sets["f"].size * sets["g"].size * sets["h"].size / field.q ** 3
         return {"e_size": e.size, "sarkozy_ok": ok, "ratio": ratio}, ok
     if op == "solvability":
@@ -212,13 +210,12 @@ def _compute(op: str, inst: Instance, lam: int | None, extra: dict) -> tuple[dic
 def _compute_bounds(inst: Instance, lam: int | None, extra: dict) -> tuple[dict, bool]:
     field, a, b = inst.field, inst.sets["a"], inst.sets["b"]
     out: dict = {}
-    ok = True
     rep_v = bounds.vinogradov_bound(field, inst.v("a", "b"), a.size, b.size)
     out["v"] = rep_v.w_or_v
     out["v_argmax"] = rep_v.argmax_j
     out["vinogradov_v"] = {"bound": rep_v.bound_value, "ratio": rep_v.ratio,
                            "holds": rep_v.holds}
-    ok = ok and rep_v.holds
+    ok = rep_v.holds
     if lam is not None:
         w = inst.w("a", "b", lam)
         rep_w = bounds.vinogradov_bound(field, w, a.size, b.size)
@@ -366,19 +363,17 @@ def _slots_from_args(args, op: str) -> tuple[list[tuple[str, str]], dict]:
         b_specs = args.b or []
         if len(a_specs) != len(b_specs) or not a_specs:
             raise _Usage("countn needs equally many --a and --b, at least one each")
-        slots = []
-        pairs = []
-        for i, (sa, sb) in enumerate(zip(a_specs, b_specs)):
-            slots.append((f"a{i}", sa))
-            slots.append((f"b{i}", sb))
-            pairs.append((f"a{i}", f"b{i}"))
-        extra["pairs"] = pairs
+        extra["pairs"] = [(f"a{i}", f"b{i}") for i in range(len(a_specs))]
+        slots = [slot for names, specs in zip(extra["pairs"], zip(a_specs, b_specs))
+                 for slot in zip(names, specs)]
         return slots, extra
     if op == "bounds":
         slots = [("a", _one(args.a, "a")), ("b", _one(args.b, "b"))]
         if (args.c is None) != (args.d is None):
             raise _Usage("bounds needs --c and --d together or neither")
         if args.c is not None:
+            if args.lam is None:
+                raise _Usage("bounds --c/--d measure the error term at a target: give --lambda")
             slots += [("c", args.c), ("d", args.d)]
         extra["r_max"] = args.r_max
         extra["use_p"] = args.use_p

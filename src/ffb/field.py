@@ -491,11 +491,6 @@ def neg_codes(field: FieldSpec, codes: np.ndarray) -> np.ndarray:
     return _encode_vec(d, field.p)
 
 
-def sub_perm(field: FieldSpec, lam: int) -> np.ndarray:
-    """Array perm with perm[x] = code of (lam - x), over all codes x."""
-    return add_codes(field, lam, neg_codes(field, np.arange(field.q)))
-
-
 def mul_codes(field: FieldSpec, x: int, codes: np.ndarray) -> np.ndarray:
     """Code of x * c for every c in codes, via the dlog table."""
     codes = np.asarray(codes, dtype=np.int64)

@@ -4,10 +4,11 @@ counters and bounds take, each computed at most once.
 The counters, bounds and sum-product counts write each identity once, on
 its pieces (representation functions, derived sets, character tables);
 an Instance builds those pieces lazily from the named sets, so every
-identity of one instance shares them.  A piece that depends on the target
-lam (a table shifted by lam, the W measured on it, an exact count at lam)
-is kept for one lam at a time: asking for it at another lam replaces it,
-so a sweep over every lam holds one of each and recomputes only those.
+identity of one instance shares them.  The target lam enters through one
+piece, r_XY shifted by lam, which the exact count and the table of the
+character route and of W both take.  A piece that depends on lam is kept
+for one lam at a time: asking for it at another lam replaces it, so a
+sweep over every lam holds one of each and recomputes only those.
 """
 
 from __future__ import annotations
@@ -83,11 +84,21 @@ class Instance:
         return self._once(("fold", pairs), lambda: counters.fold_products(
             self.field, [self.product(x, y) for x, y in pairs]))
 
+    def shifted(self, x: str, y: str, lam: int) -> RepFn:
+        """r_XY shifted by lam, s[z] = r_XY[z + lam] (repfn.shift_repfn)."""
+        return self._once_at(("s", x, y), lam, lambda: repfn.shift_repfn(
+            self.field, self.product(x, y), lam))
+
+    def negated(self, x: str, y: str) -> RepFn:
+        """r_XY negated, z -> r_XY[-z] (repfn.negate_repfn); no lam changes it."""
+        return self._once(("-*", x, y), lambda: repfn.negate_repfn(
+            self.field, self.product(x, y)))
+
     def product_table(self, x: str, y: str, lam: int) -> CharSumTable:
-        """repfn_char_sums of r_XY shifted by lam: the table T_lam of W and of
+        """repfn_char_sums of shifted(x, y, lam): the table T_lam of W and of
         the bilinear character route."""
         return self._once_at(("T*", x, y), lam, lambda: characters.repfn_char_sums(
-            self.field, self.product(x, y), shift=lam))
+            self.field, self.shifted(x, y, lam)))
 
     def sum_table(self, x: str, y: str) -> CharSumTable:
         """repfn_char_sums of r_{X+Y}: the table of V and of the additive
@@ -107,7 +118,7 @@ class Instance:
     def _charform_pieces(self, a: str, b: str, c: str, d: str, lam: int) -> tuple:
         """The pieces of count_bilinear_charform for a*b + c*d = lam."""
         neg_c = "-" + c
-        return (self.product(a, b), self.product_table(a, b, lam), self.subset(neg_c),
+        return (self.shifted(a, b, lam), self.product_table(a, b, lam), self.subset(neg_c),
                 self.subset(d), self.conj_pair(neg_c, d))
 
     # ------------------------------------------------------------------
@@ -115,15 +126,16 @@ class Instance:
     # ------------------------------------------------------------------
 
     def bilinear(self, a: str, b: str, c: str, d: str, lam: int) -> int:
-        """#{a*b + c*d = lam} over the named sets, exact."""
-        return self._once_at(("n", a, b, c, d), lam, lambda: counters.bilinear_count(
-            self.field, self.product(a, b), self.product(c, d), lam))
+        """#{a*b + c*d = lam} over the named sets, exact: additive_count of
+        shifted(a, b, lam) against negated(c, d)."""
+        return self._once_at(("n", a, b, c, d), lam, lambda: counters.additive_count(
+            self.shifted(a, b, lam), self.negated(c, d)))
 
     def bilinear_charform(self, a: str, b: str, c: str, d: str,
                           lam: int) -> tuple[int, float, float]:
         """counters.count_bilinear_charform of a*b + c*d = lam: (n, main, err)."""
         return counters.count_bilinear_charform(
-            self.field, *self._charform_pieces(a, b, c, d, lam), lam)
+            self.field, *self._charform_pieces(a, b, c, d, lam))
 
     def additive(self, a: str, b: str, c: str, d: str) -> int:
         """#{a + b = c*d} over the named sets, exact."""

@@ -16,20 +16,21 @@ with n radix-2 levels, which its radix-4 passes do not exceed in roundings
 per element, and b = 2^-50, since its twiddles come from accurately reduced
 sin/cos tables.  Two plans are certified this way, in this order:
 
-- packed: both inputs ride in one real vector w = u + 2^s v, with s the
-  bit length of max(sum(u) max(u), 2 min(sum(u) max(v), sum(v) max(u))),
-  so that u*u < 2^s and 2 (u*v) < 2^s entrywise.  Then
-  w*w = u*u + 2^(s+1) (u*v) + 2^(2s) (v*v) has u*v alone in its middle
-  digit, u*v = (w*w >> (s+1)) & (2^(s-1) - 1): one rfft, one pointwise
-  square and one irfft.  It applies when w is exact in float64 and the
-  bound with ||w||^2 for ||x|| ||y|| is below ROUND_BUDGET = 0.25, which
-  holds for indicator vectors up to about q = 2^15 with sets of a few
-  thousand elements (the bound is 9.0e-4 at q = 8191 with 1024-element
-  sets, 1.10 at q = 65521 with 16000-element sets).
+- packed: both inputs ride in one real vector w = u + 2^s v, and u*v is
+  read from the middle digit of w*w (proof in _packed_convolve): one rfft,
+  one pointwise square and one irfft.  It applies when w is exact in
+  float64 and the bound with ||w||^2 for ||x|| ||y|| is below
+  ROUND_BUDGET = 0.25, which holds for indicator vectors up to about
+  q = 2^15 with sets of a few thousand elements (the bound is 9.0e-4 at
+  q = 8191 with 1024-element sets, 1.10 at q = 65521 with 16000-element
+  sets).
 - limbs: otherwise, when the bound on ||u|| ||v|| is below ROUND_BUDGET,
   one rfft of each input; if not, both inputs are split into base-2^s
   limbs with the widest s for which every output weight passes, and the
   rounded weights are recombined in int64.
+
+additive_convolve refuses inputs whose result it cannot prove below 2^63
+entrywise; its docstring has the proof.
 
 Over F_{2^k} the additive convolution is a Walsh-Hadamard transform applied
 as float64 products of Hadamard matrices of at most 64 rows, on base-2^s
@@ -134,6 +135,22 @@ def negate_subset(field: FieldSpec, s: FqSubset) -> FqSubset:
     mask = np.zeros(field.q, dtype=bool)
     mask[neg_codes(field, s.codes())] = True
     return FqSubset.from_mask(mask)
+
+
+def _permuted(r: RepFn, perm: np.ndarray) -> RepFn:
+    counts = r.counts[perm]
+    counts.flags.writeable = False
+    return RepFn(counts=counts)
+
+
+def shift_repfn(field: FieldSpec, r: RepFn, lam: int) -> RepFn:
+    """s[y] = r[y + lam]: r translated so that lam sits at zero."""
+    return _permuted(r, add_codes(field, lam, np.arange(field.q))) if lam else r
+
+
+def negate_repfn(field: FieldSpec, r: RepFn) -> RepFn:
+    """r[-y] for every y."""
+    return _permuted(r, neg_codes(field, np.arange(field.q)))
 
 
 def inverse_subset(field: FieldSpec, s: FqSubset) -> FqSubset:
@@ -277,9 +294,9 @@ def _limb_convolve(u: np.ndarray, v: np.ndarray, m: int, size: int) -> np.ndarra
 def _cyclic_convolve(u: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
     """out[z] = sum over x of u[x] * v[(z - x) mod m], as a new int64 array.
 
-    Exact for nonnegative integer or bool inputs of length m whose mass
-    product sum(u) * sum(v) is below 2^63 (callers guard it), so every entry
-    and partial sum fits.  Both inputs are zero-padded to the power of two
+    Exact for nonnegative integer or bool inputs of length m whose output
+    entries are all below 2^63 (callers guard it; see additive_convolve).
+    Both inputs are zero-padded to the power of two
     size >= 2m - 1, so the linear convolution does not wrap; it is rounded
     entrywise and folded mod m.  The packed plan (one rfft, one irfft) is
     taken whenever its a-priori bound certifies it; otherwise the limb plan
@@ -425,20 +442,30 @@ def rep_sum(field: FieldSpec, a: FqSubset, b: FqSubset) -> RepFn:
 
 
 def additive_convolve(field: FieldSpec, r1: RepFn, r2: RepFn) -> RepFn:
-    """out[z] = sum over x of r1[x] * r2[z - x], subtraction in F_q.
+    """out[z] = sum over x of r1[x] * r2[z - x], subtraction in F_q, exact in int64.
 
-    Exact in int64; raises IntegerOverflow when the total mass product
-    (an upper bound for every entry) would not fit, and BadParam for a
-    negative count, which neither the mass bound nor the limb splits of the
-    transforms admit.
+    Raises BadParam for a negative count, and IntegerOverflow, before any
+    transform, unless every entry is proven below 2^63.  Each term is at
+    most one input entry times the other input's maximum, so every entry is
+    at most B = min(sum(r1) max(r2), sum(r2) max(r1)), and over Z_q and odd
+    p the guard is B < 2^63: the translate loop adds nonnegative terms, so
+    no partial sum passes its entry, and the cyclic convolution recombines
+    exact limb weights as out += weight << (width w) in wrapping int64, ring
+    arithmetic mod 2^64 that yields the true entry once it is below 2^63.
+    Over F_{2^k} the guard stays the mass sum(r1) sum(r2) < 2^63: the
+    pointwise product WHT(r1) * WHT(r2) reaches it in int64, and the inverse
+    transform divides by q, which does not commute with a wrap mod 2^64.
     """
     if min(r1.counts.min(), r2.counts.min()) < 0:
         raise BadParam("additive_convolve: counts must be nonnegative")
-    mass = r1.total() * r2.total()  # Python ints, no wraparound
-    if mass >= INT64_LIMIT:
-        raise IntegerOverflow(
-            f"convolution mass {mass} exceeds the exact int64 range"
-        )
+    # exact Python-int sums: an int64 sum of entries near 2^63 would wrap
+    s1, s2 = ((int((r.counts >> 32).sum()) << 32) + int((r.counts & 0xFFFFFFFF).sum())
+              for r in (r1, r2))
+    wht = field.p == 2 and field.k > 1
+    bound = s1 * s2 if wht else min(s1 * int(r2.counts.max()), s2 * int(r1.counts.max()))
+    if bound >= INT64_LIMIT:
+        what = "mass" if wht else "entry bound"
+        raise IntegerOverflow(f"convolution {what} {bound} exceeds the exact int64 range")
     out = _add_convolve(field, r1.counts, r2.counts)
     out.flags.writeable = False
     return RepFn(counts=out)

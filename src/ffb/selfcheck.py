@@ -146,26 +146,27 @@ def criterion_oracle_equivalence(q_max: int = 13, tuples: int = GRID_TUPLES,
         tables = op_tables(field)
         for idx in range(tuples):
             a, b, c, d = grid_tuple(field, idx, 4, base_seed)
+            inst = Instance(field, dict(zip(ABCD, (a, b, c, d))))
             brute = brute_bilinear_all(tables, a, b, c, d)
             det_brute = brute_det2_all(tables, a, b, c, d)
             for lam in range(field.q):
-                if counters.count_bilinear(field, a, b, c, d, lam) != int(brute[lam]):
-                    return False, f"count_bilinear mismatch q={field.q} tuple={idx} lam={lam}"
-                if sumprod.count_determinant2(field, a, b, c, d, lam) != int(det_brute[lam]):
-                    return False, f"count_determinant2 mismatch q={field.q} tuple={idx} lam={lam}"
+                if inst.bilinear(*ABCD, lam) != int(brute[lam]):
+                    return False, f"bilinear mismatch q={field.q} tuple={idx} lam={lam}"
+                if inst.bilinear("a", "d", "-b", "c", lam) != int(det_brute[lam]):
+                    return False, f"determinant mismatch q={field.q} tuple={idx} lam={lam}"
                 checked += 2
-            if counters.count_additive(field, a, b, c, d) != brute_additive(tables, a, b, c, d):
-                return False, f"count_additive mismatch q={field.q} tuple={idx}"
-            exc = counters.exceptional_set(field, a, b, c)
+            if inst.additive(*ABCD) != brute_additive(tables, a, b, c, d):
+                return False, f"additive mismatch q={field.q} tuple={idx}"
+            exc = counters.exceptional_set(field, a, inst.product("b", "c"))
             if not np.array_equal(exc.membership, brute_exceptional_mask(tables, a, b, c)):
                 return False, f"exceptional_set mismatch q={field.q} tuple={idx}"
             checked += 2
             if field.q <= 7:
-                pairs = [(a, b), (c, d), (a, c)]
-                brute3 = brute_general_all(tables, pairs)
+                brute3 = brute_general_all(tables, [(a, b), (c, d), (a, c)])
+                fold = inst.fold([("a", "b"), ("c", "d"), ("a", "c")]).counts
                 for lam in range(field.q):
-                    if counters.count_general(field, pairs, lam) != int(brute3[lam]):
-                        return False, f"count_general mismatch q={field.q} tuple={idx} lam={lam}"
+                    if int(fold[lam]) != int(brute3[lam]):
+                        return False, f"general mismatch q={field.q} tuple={idx} lam={lam}"
                     checked += 1
     return True, f"{checked} exact comparisons against brute enumeration"
 
@@ -197,16 +198,17 @@ def criterion_closed_forms(q_max: int = 13, base_seed: int = 0) -> tuple[bool, s
         if field.q < 5:
             continue
         full = full_subset(field)
+        inst = Instance(field, dict.fromkeys(ABCD, full))
         q = field.q
         expected_nonzero = q ** 3 - q
         expected_zero = (2 * q - 1) ** 2 + (q - 1) ** 3
         for lam in range(q):
-            n = counters.count_bilinear(field, full, full, full, full, lam)
+            n = inst.bilinear(*ABCD, lam)
             want = expected_zero if lam == 0 else expected_nonzero
             if n != want:
                 return False, f"bilinear closed form fails q={q} lam={lam}: {n} != {want}"
             checked += 1
-        t = counters.count_additive(field, full, full, full, full)
+        t = inst.additive(*ABCD)
         if t != q ** 3:
             return False, f"additive closed form fails q={q}: {t} != {q ** 3}"
         checked += 1
@@ -252,8 +254,9 @@ def criterion_sarkozy_identity(q_max: int = 13, tuples: int = GRID_TUPLES,
     for field in grid_fields(q_max):
         for idx in range(tuples):
             f, g, h, _ = grid_tuple(field, idx, 4, base_seed)
-            e = counters.exceptional_set(field, f, g, h)
-            if not counters.verify_sarkozy_identity(field, f, g, h, e):
+            r_gh = Instance(field, {"g": g, "h": h}).product("g", "h")
+            e = counters.exceptional_set(field, f, r_gh)
+            if not counters.verify_sarkozy_identity(field, f, e, r_gh):
                 return False, f"identity fails q={field.q} tuple={idx}"
             checked += 1
     return True, f"{checked} triples, identity holds on all"
@@ -284,8 +287,9 @@ def criterion_garaev_lower(q_max: int = 13, tuples: int = GRID_TUPLES,
     for field in grid_fields(q_max):
         for idx in range(tuples):
             x, y, _, _ = grid_tuple(field, idx, 4, base_seed)
+            inst = Instance(field, {"x": x, "y": y})
             count, lower = sumprod.garaev_solution_count(
-                field, x, y, sumprod.sumset(field, x, y), sumprod.productset(field, x, y))
+                field, x, y, inst.subset("x+y"), inst.subset("x*y"))
             if count < lower:
                 return False, f"lower bound fails q={field.q} tuple={idx}: {count} < {lower}"
             checked += 1
@@ -332,7 +336,7 @@ def exceptional_ratio_report(p: int = 101, triples: int = 20,
             sets.append(setsgen.realize(field, SetSpec("random", (m,)),
                                         derive_seed(slot_seed, 1)))
         f, g, h = sets
-        e = counters.exceptional_set(field, f, g, h)
+        e = counters.exceptional_set(field, f, Instance(field, {"g": g, "h": h}).product("g", "h"))
         ratio = e.size * f.size * g.size * h.size / field.q ** 3
         out.append({
             "index": idx,

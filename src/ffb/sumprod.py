@@ -1,4 +1,4 @@
-"""Sum-product style counters: sumsets, productsets, and two derived counts.
+"""Sum-product counts over the sumset X + Y and the productset X * Y.
 
 garaev_solution_count counts solutions of v * x1^(-1) + x2 = u with x1
 in X minus zero, x2 in X, u in the sumset U = X + Y and v in the
@@ -20,26 +20,15 @@ import math
 
 import numpy as np
 
-from .counters import count_bilinear
 from .errors import InvariantViolation, NotPrimeField
 from .field import FieldSpec
 from .repfn import FqSubset, inverse_subset, negate_subset, rep_product, rep_sum
 
 
-def sumset(field: FieldSpec, x: FqSubset, y: FqSubset) -> FqSubset:
-    """X + Y as a subset (support of the additive representation fn)."""
-    return FqSubset.from_mask(rep_sum(field, x, y).counts > 0)
-
-
-def productset(field: FieldSpec, x: FqSubset, y: FqSubset) -> FqSubset:
-    """X * Y as a subset (support of the product representation fn)."""
-    return FqSubset.from_mask(rep_product(field, x, y).counts > 0)
-
-
 def garaev_solution_count(field: FieldSpec, x: FqSubset, y: FqSubset, u: FqSubset,
                           v: FqSubset) -> tuple[int, int]:
     """(count, lower) for v * x1^(-1) + x2 = u over (X\\0) x X x U x V, where
-    u = sumset(field, x, y) and v = productset(field, x, y)."""
+    u = Instance.subset("x+y") and v = Instance.subset("x*y")."""
     shifts = rep_sum(field, u, negate_subset(field, x))
     scales = rep_product(field, v, inverse_subset(field, x))
     # both factors are nonnegative and the total is at most #X^2 * q < 2^63
@@ -54,7 +43,7 @@ def garaev_solution_count(field: FieldSpec, x: FqSubset, y: FqSubset, u: FqSubse
 def garaev_inequality_report(field: FieldSpec, x: FqSubset, y: FqSubset, u: FqSubset,
                              v: FqSubset) -> float:
     """Observed constant (#U * #V) / min(p * max(#X, #Y), (#X * #Y)^2 / p),
-    with u = sumset(field, x, y) and v = productset(field, x, y).
+    with u = Instance.subset("x+y") and v = Instance.subset("x*y").
 
     Stated for prime fields only; raises NotPrimeField for k > 1.
     """
@@ -66,13 +55,3 @@ def garaev_inequality_report(field: FieldSpec, x: FqSubset, y: FqSubset, u: FqSu
     if denom == 0.0:
         return 0.0 if num == 0 else math.inf
     return num / denom
-
-
-def count_determinant2(field: FieldSpec, a: FqSubset, b: FqSubset, c: FqSubset,
-                       d: FqSubset, lam: int) -> int:
-    """#{(a,b,c,d) in A x B x C x D : a*d - b*c = lam}.
-
-    Same count as the bilinear form on (A, D, -B, C): the pair products
-    a*d and (-b)*c add to the determinant.
-    """
-    return count_bilinear(field, a, d, negate_subset(field, b), c, lam)

@@ -4,13 +4,13 @@ import math
 
 import pytest
 
-from ffb.bounds import compute_V, compute_W, karatsuba_report, vinogradov_check
-from ffb.characters import char_eval, repfn_char_sums, shifted_product_char_sums
+from ffb.bounds import karatsuba_bound, vinogradov_bound
+from ffb.characters import char_eval
 from ffb.counters import count_bilinear
 from ffb.errors import LambdaZero, NoNontrivialCharacter
 from ffb.field import field_add, field_mul, field_sub, make_field
 from ffb.instance import Instance
-from ffb.repfn import empty_subset, full_subset, rep_sum, subset_from_codes
+from ffb.repfn import empty_subset, full_subset, subset_from_codes
 from ffb.setsgen import SetSpec, derive_seed, realize, stream_value
 
 TOL = 1e-9
@@ -18,11 +18,20 @@ ABCD = ("a", "b", "c", "d")
 
 
 def w_of(field, a, b, lam):
-    return compute_W(field, shifted_product_char_sums(field, a, b, lam))
+    return Instance(field, {"a": a, "b": b}).w("a", "b", lam)
 
 
 def v_of(field, a, b):
-    return compute_V(field, repfn_char_sums(field, rep_sum(field, a, b)))
+    return Instance(field, {"a": a, "b": b}).v("a", "b")
+
+
+def vinogradov_check(field, a, b, lam=None):
+    measured = v_of(field, a, b) if lam is None else w_of(field, a, b, lam)
+    return vinogradov_bound(field, measured, a.size, b.size)
+
+
+def karatsuba_report(field, a, b, lam, r=1, use_p=False):
+    return karatsuba_bound(field, w_of(field, a, b, lam), a.size, b.size, r, use_p)
 
 
 def cauchy(field, a, b, c, d, lam):

@@ -6,18 +6,18 @@ import numpy as np
 import pytest
 
 from ffb.bounds import compute_V, compute_W
-from ffb.characters import (
-    char_eval,
-    repfn_char_sums,
-    set_char_sums,
-    shifted_product_char_sums,
-)
+from ffb.characters import char_eval, repfn_char_sums, set_char_sums
 from ffb.errors import BadExponent, BadParam
 from ffb.field import field_mul, field_sub
-from ffb.repfn import RepFn, full_subset, rep_product, rep_sum, subset_from_codes
+from ffb.instance import Instance
+from ffb.repfn import RepFn, full_subset, rep_sum, shift_repfn, subset_from_codes
 from ffb.setsgen import SetSpec, derive_seed, realize, stream_value
 
 TOL = 1e-9
+
+
+def shifted_product_char_sums(field, a, b, lam):
+    return Instance(field, {"a": a, "b": b}).product_table("a", "b", lam)
 
 
 def table_tol(field):
@@ -104,7 +104,7 @@ def test_repfn_char_sums_matches_loop(f7):
     counts = np.array([stream_value(17, t) % 5 for t in range(7)], dtype=np.int64)
     r = RepFn(counts=counts)
     for shift in (0, 3):
-        table = repfn_char_sums(f7, r, shift=shift).values
+        table = repfn_char_sums(f7, shift_repfn(f7, r, shift)).values
         for j in range(6):
             direct = sum(
                 counts[x] * char_eval(f7, j, field_sub(f7, x, shift), "all_zero")
@@ -142,7 +142,7 @@ def test_shifted_product_matches_double_loop(f7, f9, f16):
             (set_char_sums(field, a), lambda j: sum(chi(j, x) for x in a.codes())),
             (repfn_char_sums(field, RepFn(counts=counts)),
              lambda j: sum(counts[x] * chi(j, x) for x in range(q))),
-            (repfn_char_sums(field, RepFn(counts=counts), shift=lam),
+            (repfn_char_sums(field, shift_repfn(field, RepFn(counts=counts), lam)),
              lambda j: sum(counts[x] * chi(j, field_sub(field, x, lam)) for x in range(q))),
             (shifted_product_char_sums(field, a, b, lam),
              lambda j: sum(chi(j, field_sub(field, field_mul(field, x, y), lam))

@@ -14,10 +14,12 @@ import pytest
 import ffb.bounds
 import ffb.cli
 import ffb.counters
-from ffb.bounds import karatsuba_report
+from ffb.bounds import compute_W, karatsuba_bound
+from ffb.characters import repfn_char_sums
 from ffb.cli import run
 from ffb.errors import RoundingDrift
 from ffb.field import make_field
+from ffb.repfn import rep_product, shift_repfn
 from ffb.setsgen import derive_seed, parse_setspec, realize
 
 
@@ -167,7 +169,7 @@ def test_solvability_subcommand(capsys):
 
 def test_broken_invariant_is_a_hard_failure(capsys, monkeypatch):
     # a fired threshold with no solution is a bug: exit 1, never a usage error
-    monkeypatch.setattr(ffb.counters, "bilinear_count", lambda *args: 0)
+    monkeypatch.setattr(ffb.counters, "additive_count", lambda *args: 0)
     code = run(["solvability", "--p", "7", "--a", "interval:1..6", "--b", "interval:1..6",
                 "--c", "interval:1..6", "--d", "interval:1..6", "--lambda", "1"])
     assert code == 1
@@ -206,6 +208,10 @@ def test_usage_errors_exit_2(capsys):
         COUNT_ARGS[:1] + ["--p", "2", "--k", "2", "--modulus", "1,0,1"]
         + COUNT_ARGS[3:],                                       # Reducible
         ["bounds", "--p", "2", "--a", "explicit:1", "--b", "explicit:1"],  # q = 2
+        ["bounds", "--p", "7", "--a", "explicit:1", "--b", "explicit:1",
+         "--c", "explicit:1", "--d", "explicit:1"],             # --c/--d without --lambda
+        ["scan", "--op", "bounds", "--p", "7", "--a", "explicit:1", "--b", "explicit:1",
+         "--c", "explicit:1", "--d", "explicit:1"],
     ]
     for argv in cases:
         assert run(argv) == 2, argv
@@ -296,9 +302,10 @@ def test_bounds_measures_w_once_for_the_sweep(capsys, monkeypatch, tmp_path):
     field = make_field(13)
     a, b = (realize(field, parse_setspec(spec), derive_seed(2, slot))
             for slot, spec in enumerate(("random:5", "random:6")))
+    w = compute_W(field, repfn_char_sums(field, shift_repfn(field, rep_product(field, a, b), 3)))
     want = []
     for r in range(1, 9):
-        kr = karatsuba_report(field, a, b, 3, r=r)
+        kr = karatsuba_bound(field, w, a.size, b.size, r)
         want.append({"r": r, "bound": kr.bound_value, "ratio": kr.ratio})
     assert recs[0]["karatsuba"] == want
 
@@ -310,6 +317,37 @@ def test_count_builds_each_piece_once_for_every_lambda(capsys, monkeypatch, tmp_
     assert code == 0 and len(recs) == 4
     # r_AB, r_CD, S_{-C} and S_D once for the 4 lambdas
     assert calls() == {"rep_product": 2, "set_char_sums": 2}
+
+
+@pytest.mark.parametrize("p, q", [("13", 13), ("3 --k 2", 9)])
+def test_count_sweep_shifts_once_per_lambda(capsys, monkeypatch, tmp_path, p, q):
+    # lam enters through one permutation of r_AB per lam, shared by both
+    # routes; r_CD is negated once per instance
+    calls = count_calls_everywhere(monkeypatch, ("add_codes", "neg_codes"), tmp_path / "log")
+    argv = ["count", "--p", *p.split(), "--a", "random:5", "--b", "random:4",
+            "--c", "random:6", "--d", "random:3", "--no-timing"]
+    code, recs, _ = run_json(capsys, argv + ["--lambda", "all"])
+    assert code == 0 and all(rec["n"] == rec["n_charform"] for rec in recs)
+    swept = calls()
+    assert swept["add_codes"] == len(recs) == q - 1
+    code, _, _ = run_json(capsys, argv + ["--lambda", "1"])
+    assert code == 0
+    assert calls()["neg_codes"] == swept["neg_codes"] > 0
+
+
+def test_countn_guards_each_entry_not_the_mass(capsys):
+    # four copies of F_q^* at q = 65521: mass (q-1)^4 > 2^63, entries below (q-1)^3
+    q = 65521
+    argv = ["countn", "--p", str(q)] + ["--a", "subgroup:1", "--b", "subgroup:1"] * 2
+    for lam, want in (("5", (q - 2) * (q - 1) ** 2), ("0", (q - 1) ** 3)):
+        code, recs, _ = run_json(capsys, argv + ["--lambda", lam, "--no-timing"])
+        assert code == 0
+        assert recs[0]["n"] == want
+    # over F_{2^16} the Walsh-Hadamard product keeps the mass guard
+    code, _, err = run_json(capsys, ["countn", "--p", "2", "--k", "16"] + argv[3:]
+                            + ["--lambda", "5"])
+    assert code == 1
+    assert "hard failure: IntegerOverflow: convolution mass" in err
 
 
 def test_sumprod_builds_sumset_and_productset_once(capsys, monkeypatch, tmp_path):

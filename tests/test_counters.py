@@ -7,16 +7,23 @@ import pytest
 
 import ffb.characters
 from ffb.counters import (
-    count_additive,
+    additive_count,
     count_bilinear,
-    count_general,
     exceptional_set,
+    fold_products,
     verify_sarkozy_identity,
 )
 from ffb.errors import BadParam, RoundingDrift
 from ffb.field import field_add, field_mul
 from ffb.instance import Instance
-from ffb.repfn import empty_subset, full_subset, negate_subset, rep_product, subset_from_codes
+from ffb.repfn import (
+    empty_subset,
+    full_subset,
+    negate_subset,
+    rep_product,
+    rep_sum,
+    subset_from_codes,
+)
 from ffb.selfcheck import brute_exceptional_mask, grid_tuple, op_tables
 from ffb.setsgen import SetSpec, derive_seed, realize, stream_value
 
@@ -29,6 +36,24 @@ def bilinear_charform(field, a, b, c, d, lam):
 
 def additive_charform(field, a, b, c, d):
     return Instance(field, dict(zip(ABCD, (a, b, c, d)))).additive_charform(*ABCD)
+
+
+def count_additive(field, a, b, c, d):
+    return Instance(field, dict(zip(ABCD, (a, b, c, d)))).additive(*ABCD)
+
+
+def count_general(field, pairs, lam):
+    names = [(f"x{i}", f"y{i}") for i in range(len(pairs))]
+    sets = {name: s for pair, named in zip(pairs, names) for name, s in zip(named, pair)}
+    return int(Instance(field, sets).fold(names).counts[lam])
+
+
+def exceptional(field, f, g, h):
+    return exceptional_set(field, f, rep_product(field, g, h))
+
+
+def sarkozy(field, f, g, h, e):
+    return verify_sarkozy_identity(field, f, e, rep_product(field, g, h))
 
 
 def seeded_sets(field, seed, n):
@@ -119,13 +144,13 @@ def test_count_general_three_pairs_brute(f3):
 
 def test_count_general_needs_a_pair(f5):
     with pytest.raises(BadParam):
-        count_general(f5, [], 0)
+        fold_products(f5, [])
 
 
 def test_exceptional_set_known_cases(f5):
     full, zero = full_subset(f5), subset_from_codes(f5, [0])
-    assert exceptional_set(f5, full, zero, zero).size == 0
-    e = exceptional_set(f5, zero, zero, full)
+    assert exceptional(f5, full, zero, zero).size == 0
+    e = exceptional(f5, zero, zero, full)
     assert e.size == 4
     assert e.codes().tolist() == [1, 2, 3, 4]
 
@@ -134,39 +159,33 @@ def test_exceptional_set_matches_brute(f11):
     tables = op_tables(f11)
     for idx in range(30):
         f, g, h = seeded_sets(f11, derive_seed(43, idx), 3)
-        e = exceptional_set(f11, f, g, h)
+        e = exceptional(f11, f, g, h)
         assert np.array_equal(e.membership, brute_exceptional_mask(tables, f, g, h))
 
 
 def test_sarkozy_identity_known_and_seeded(f5, f7, f11):
     star7 = subset_from_codes(f7, range(1, 7))
-    assert verify_sarkozy_identity(f7, star7, star7, star7,
-                                   exceptional_set(f7, star7, star7, star7))
+    assert sarkozy(f7, star7, star7, star7, exceptional(f7, star7, star7, star7))
     zero5 = subset_from_codes(f5, [0])
     full5 = full_subset(f5)
-    assert verify_sarkozy_identity(f5, zero5, zero5, full5,
-                                   exceptional_set(f5, zero5, zero5, full5))
+    assert sarkozy(f5, zero5, zero5, full5, exceptional(f5, zero5, zero5, full5))
     for idx in range(20):
         f, g, h = seeded_sets(f11, derive_seed(47, idx), 3)
-        assert verify_sarkozy_identity(f11, f, g, h, exceptional_set(f11, f, g, h))
+        assert sarkozy(f11, f, g, h, exceptional(f11, f, g, h))
 
 
 def test_sarkozy_check_is_the_negated_additive_count(f9, f11, f16):
     # on a seeded e as well as on the exceptional set: the check is
-    # count_additive(-e, f, -g, h) == 0, with or without a held r_GH
+    # #{(-e) + f = (-g)*h} == 0, counted from r_{(-E)+F} and r_{(-G)H}
     outcomes = set()
     for field in (f9, f11, f16):
         for idx in range(20):
             seeded, f, g, h = seeded_sets(field, derive_seed(48, field.q, idx), 4)
             r_gh = rep_product(field, g, h)
-            exceptional = exceptional_set(field, f, g, h, r_gh)
-            assert np.array_equal(exceptional.membership,
-                                  exceptional_set(field, f, g, h).membership)
-            for e in (seeded, exceptional):
-                expect = count_additive(field, negate_subset(field, e), f,
-                                        negate_subset(field, g), h) == 0
-                assert verify_sarkozy_identity(field, f, g, h, e) == expect
-                assert verify_sarkozy_identity(field, f, g, h, e, r_gh) == expect
+            for e in (seeded, exceptional_set(field, f, r_gh)):
+                expect = additive_count(rep_sum(field, negate_subset(field, e), f),
+                                        rep_product(field, negate_subset(field, g), h)) == 0
+                assert verify_sarkozy_identity(field, f, e, r_gh) == expect
                 outcomes.add(expect)
     assert outcomes == {True, False}
 

@@ -30,7 +30,6 @@ from ffb.field import (
     make_field,
     mul_codes,
     neg_codes,
-    sub_perm,
 )
 from ffb.setsgen import stream_value
 
@@ -225,8 +224,6 @@ def test_vectorized_helpers_match_scalar(f9, f7, f16):
             assert add_codes(f, x, codes).tolist() == [field_add(f, x, c) for c in range(f.q)]
             assert mul_codes(f, x, codes).tolist() == [field_mul(f, x, c) for c in range(f.q)]
         assert neg_codes(f, codes).tolist() == [field_neg(f, c) for c in range(f.q)]
-        for lam in range(f.q):
-            assert sub_perm(f, lam).tolist() == [field_sub(f, lam, c) for c in range(f.q)]
 
 
 # ----------------------------------------------------------------------

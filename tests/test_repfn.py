@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffb.counters import count_bilinear, count_general
+from ffb.counters import count_bilinear
 from ffb.errors import BadParam, IntegerOverflow
-from ffb.field import field_add, field_inv, field_mul, make_field
+from ffb.field import field_add, field_inv, field_mul, field_neg, make_field
+from ffb.instance import Instance
 from ffb.repfn import (
     ROUND_BUDGET,
     RepFn,
@@ -23,9 +24,11 @@ from ffb.repfn import (
     empty_subset,
     full_subset,
     inverse_subset,
+    negate_repfn,
     negate_subset,
     rep_product,
     rep_sum,
+    shift_repfn,
     subset_from_codes,
 )
 from ffb.setsgen import SetSpec, derive_seed, realize, stream_value
@@ -197,6 +200,43 @@ def test_additive_convolve_overflow_guard(f5):
         additive_convolve(f5, RepFn(counts=big), RepFn(counts=big))
 
 
+def test_additive_convolve_guards_each_entry_not_the_mass():
+    # mass 2^64, every entry q * 2^40 < 2^53: exact over Z_q, where the
+    # limb recombination is exact below 2^63, refused over F_{2^12}, where
+    # WHT(r1) * WHT(r2) is formed pointwise in int64
+    for field in (make_field(4093), make_field(2, 12)):
+        r = RepFn(counts=np.full(field.q, 1 << 20, dtype=np.int64))
+        assert r.total() ** 2 >= 1 << 63
+        if field.p == 2:
+            with pytest.raises(IntegerOverflow, match="convolution mass"):
+                additive_convolve(field, r, r)
+        else:
+            assert additive_convolve(field, r, r).counts.tolist() == [field.q << 40] * field.q
+    # entries near 2^62 whose int64 sum wraps to 0: every output entry is 2^64
+    field = make_field(5)
+    heavy = RepFn(counts=np.array([1 << 62] * 4 + [0], dtype=np.int64))
+    with pytest.raises(IntegerOverflow, match="entry bound 18446744073709551616"):
+        additive_convolve(field, heavy, RepFn(counts=np.ones(5, dtype=np.int64)))
+    # one heavy entry against a spread: entries 2^61 and 2^62, mass 2^64
+    field = make_field(7)
+    heavy = np.zeros(7, dtype=np.int64)
+    heavy[2] = 1 << 61
+    spread = np.array([1, 2, 1, 1, 1, 1, 1], dtype=np.int64)
+    out = additive_convolve(field, RepFn(counts=heavy), RepFn(counts=spread))
+    assert out.counts.tolist() == [int(heavy[2]) * int(spread[(z - 2) % 7]) for z in range(7)]
+
+
+def test_shift_and_negate_permute_the_counts(f7, f9, f16):
+    for field in (f7, f9, f16):
+        counts = np.array([stream_value(19, x) % 9 for x in range(field.q)], dtype=np.int64)
+        r = RepFn(counts=counts)
+        assert negate_repfn(field, r).counts.tolist() == [
+            counts[field_neg(field, y)] for y in range(field.q)]
+        for lam in range(field.q):
+            assert shift_repfn(field, r, lam).counts.tolist() == [
+                counts[field_add(field, y, lam)] for y in range(field.q)]
+
+
 def cyclic_oracle(u, v, m):
     """The O(m^2) int64 cyclic convolution over Z_m."""
     lin = np.convolve(u, v)
@@ -247,9 +287,9 @@ def test_count_general_matches_count_bilinear_at_prime_q():
     for m in (field.q // 4, field.q - 1):
         a, b, c, d = (realize(field, SetSpec("random", (m,)), derive_seed(15, m, slot))
                       for slot in range(4))
+        fold = Instance(field, dict(zip("abcd", (a, b, c, d)))).fold([("a", "b"), ("c", "d")])
         for lam in (0, 1, 7):
-            expect = count_bilinear(field, a, b, c, d, lam)
-            assert count_general(field, [(a, b), (c, d)], lam) == expect
+            assert int(fold.counts[lam]) == count_bilinear(field, a, b, c, d, lam)
 
 
 def test_rfft_error_bound_covers_observed_error():

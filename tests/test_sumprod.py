@@ -1,20 +1,31 @@
-"""Sumsets, productsets, the inverse-shift count, and the determinant count."""
+"""Sumsets, productsets, the inverse-shift count, and the determinant count.
+
+Sumsets and productsets are Instance.subset("x+y") and Instance.subset("x*y");
+the determinant count is Instance.bilinear("a", "d", "-b", "c", lam).
+"""
 
 import numpy as np
 import pytest
 
 from ffb.errors import InvariantViolation, NotPrimeField
 from ffb.field import add_codes, field_inv, make_field, mul_codes
+from ffb.instance import Instance
 from ffb.repfn import empty_subset, full_subset, subset_from_codes
 from ffb.selfcheck import brute_det2_all, grid_tuple, op_tables
 from ffb.setsgen import SetSpec, derive_seed, realize, stream_value
-from ffb.sumprod import (
-    count_determinant2,
-    garaev_inequality_report,
-    garaev_solution_count,
-    productset,
-    sumset,
-)
+from ffb.sumprod import garaev_inequality_report, garaev_solution_count
+
+
+def sumset(field, x, y):
+    return Instance(field, {"x": x, "y": y}).subset("x+y")
+
+
+def productset(field, x, y):
+    return Instance(field, {"x": x, "y": y}).subset("x*y")
+
+
+def count_determinant2(field, a, b, c, d, lam):
+    return Instance(field, dict(zip("abcd", (a, b, c, d)))).bilinear("a", "d", "-b", "c", lam)
 
 
 def garaev(field, x, y):
