@@ -65,6 +65,14 @@ _FLOAT_EXACT_BITS = 53
 _HADAMARD_BITS = 6
 
 
+def exact_sum(x: np.ndarray) -> int:
+    """Sum of a nonnegative integer or bool array as a Python int; int64
+    entries are summed as 32-bit halves, since their int64 sum can wrap."""
+    if x.dtype.itemsize < 8:
+        return int(x.sum(dtype=np.int64))
+    return (int((x >> 32).sum()) << 32) + int((x & 0xFFFFFFFF).sum())
+
+
 @dataclass(frozen=True, eq=False)
 class FqSubset:
     """Subset of F_q as a boolean membership array indexed by code."""
@@ -101,7 +109,7 @@ class RepFn:
     counts: np.ndarray
 
     def total(self) -> int:
-        return int(self.counts.sum())
+        return exact_sum(self.counts)
 
     def support(self) -> np.ndarray:
         return np.nonzero(self.counts)[0].astype(np.int64)
@@ -233,11 +241,11 @@ def _packed_convolve(u: np.ndarray, v: np.ndarray, m: int, size: int) -> np.ndar
     ||w||^2 = ||u||^2 + 2^(s+1) <u, v> + 2^(2s) ||v||^2 term by term.
     Every computed entry is then within 0.25 of X, and X <= ||w||^2 < 2^53
     (the bound exceeds 2 e ||w||^2 at every size), so rounding gives X
-    exactly, and so does the fold mod m.  The sums are taken in int64 and
-    n2 in Python integers, never in the input dtype, which wraps for bool
-    and uint8.
+    exactly, and so does the fold mod m.  The sums are exact (exact_sum) and
+    n2 is a Python integer: a sum that wrapped would shrink s and certify a
+    plan whose digits overlap.
     """
-    su, sv = (int(x.sum(dtype=np.int64)) for x in (u, v))
+    su, sv = (exact_sum(x) for x in (u, v))
     mu, mv = (int(x.max()) for x in (u, v))
     cross = min(su * mv, sv * mu)
     s = max(1, max(su * mu, 2 * cross).bit_length())
@@ -458,9 +466,7 @@ def additive_convolve(field: FieldSpec, r1: RepFn, r2: RepFn) -> RepFn:
     """
     if min(r1.counts.min(), r2.counts.min()) < 0:
         raise BadParam("additive_convolve: counts must be nonnegative")
-    # exact Python-int sums: an int64 sum of entries near 2^63 would wrap
-    s1, s2 = ((int((r.counts >> 32).sum()) << 32) + int((r.counts & 0xFFFFFFFF).sum())
-              for r in (r1, r2))
+    s1, s2 = r1.total(), r2.total()
     wht = field.p == 2 and field.k > 1
     bound = s1 * s2 if wht else min(s1 * int(r2.counts.max()), s2 * int(r1.counts.max()))
     if bound >= INT64_LIMIT:

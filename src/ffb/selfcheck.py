@@ -71,19 +71,6 @@ def op_tables(field: FieldSpec) -> OpTables:
     return mul, add, neg
 
 
-def brute_bilinear_all(tables: OpTables, a: FqSubset, b: FqSubset, c: FqSubset,
-                       d: FqSubset) -> np.ndarray:
-    """Histogram over lam of a*b + c*d by full tuple enumeration."""
-    mul, add, _ = tables
-    q = len(mul)
-    p1 = mul[np.ix_(a.codes(), b.codes())].ravel()
-    p2 = mul[np.ix_(c.codes(), d.codes())].ravel()
-    if len(p1) == 0 or len(p2) == 0:
-        return np.zeros(q, dtype=np.int64)
-    vals = add[p1[:, None], p2[None, :]].ravel()
-    return np.bincount(vals, minlength=q).astype(np.int64)
-
-
 def brute_additive(tables: OpTables, a: FqSubset, b: FqSubset, c: FqSubset,
                    d: FqSubset) -> int:
     """a + b = c*d by full tuple enumeration."""
@@ -96,7 +83,8 @@ def brute_additive(tables: OpTables, a: FqSubset, b: FqSubset, c: FqSubset,
 
 
 def brute_general_all(tables: OpTables, pairs: list[tuple[FqSubset, FqSubset]]) -> np.ndarray:
-    """Histogram over lam of sum of a_i*b_i, full enumeration, n <= 3."""
+    """Histogram over lam of sum of a_i*b_i over the pairs (a_i, b_i), by full
+    tuple enumeration; n <= 3 pairs at q <= 13 keep it small."""
     mul, add, _ = tables
     q = len(mul)
     vals_per_pair = [mul[np.ix_(x.codes(), y.codes())].ravel() for x, y in pairs]
@@ -147,7 +135,7 @@ def criterion_oracle_equivalence(q_max: int = 13, tuples: int = GRID_TUPLES,
         for idx in range(tuples):
             a, b, c, d = grid_tuple(field, idx, 4, base_seed)
             inst = Instance(field, dict(zip(ABCD, (a, b, c, d))))
-            brute = brute_bilinear_all(tables, a, b, c, d)
+            brute = brute_general_all(tables, [(a, b), (c, d)])
             det_brute = brute_det2_all(tables, a, b, c, d)
             for lam in range(field.q):
                 if inst.bilinear(*ABCD, lam) != int(brute[lam]):
@@ -213,7 +201,7 @@ def criterion_closed_forms(q_max: int = 13, base_seed: int = 0) -> tuple[bool, s
             return False, f"additive closed form fails q={q}: {t} != {q ** 3}"
         checked += 1
         if q == 5:
-            brute = brute_bilinear_all(op_tables(field), full, full, full, full)
+            brute = brute_general_all(op_tables(field), [(full, full)] * 2)
             if int(brute[0]) != expected_zero or any(
                 int(brute[lam]) != expected_nonzero for lam in range(1, q)
             ):

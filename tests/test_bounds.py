@@ -25,15 +25,6 @@ def v_of(field, a, b):
     return Instance(field, {"a": a, "b": b}).v("a", "b")
 
 
-def vinogradov_check(field, a, b, lam=None):
-    measured = v_of(field, a, b) if lam is None else w_of(field, a, b, lam)
-    return vinogradov_bound(field, measured, a.size, b.size)
-
-
-def karatsuba_report(field, a, b, lam, r=1, use_p=False):
-    return karatsuba_bound(field, w_of(field, a, b, lam), a.size, b.size, r, use_p)
-
-
 def cauchy(field, a, b, c, d, lam):
     return Instance(field, dict(zip(ABCD, (a, b, c, d)))).cauchy(*ABCD, lam)
 
@@ -126,10 +117,10 @@ def test_two_element_field_has_no_nontrivial_character(f2):
 
 def test_sqrt_bound_degenerate_cases(f7):
     star = subset_from_codes(f7, range(1, 7))
-    rep = vinogradov_check(f7, star, star, 0)
+    rep = vinogradov_bound(f7, w_of(f7, star, star, 0), 6, 6)
     assert rep.holds and rep.ratio < TOL
     a, b = subset_from_codes(f7, [2]), subset_from_codes(f7, [3])
-    rep = vinogradov_check(f7, a, b, 1)
+    rep = vinogradov_bound(f7, w_of(f7, a, b, 1), 1, 1)
     assert rep.holds
     assert rep.bound_value == pytest.approx(math.sqrt(7))
 
@@ -138,30 +129,31 @@ def test_sqrt_bound_holds_on_seeded_triples(f13):
     for idx in range(100):
         a, b = seeded_pair(f13, derive_seed(73, idx))
         lam = stream_value(73, idx) % 13
-        assert vinogradov_check(f13, a, b, lam).holds
-        assert vinogradov_check(f13, a, b).holds  # V side
+        for measured in (w_of(f13, a, b, lam), v_of(f13, a, b)):
+            assert vinogradov_bound(f13, measured, a.size, b.size).holds
 
 
 def test_moment_bound_formula_and_ratio(f7, f13):
     a, b = subset_from_codes(f7, [2]), subset_from_codes(f7, [3])
-    rep = karatsuba_report(f7, a, b, 1, r=1)
+    rep = karatsuba_bound(f7, w_of(f7, a, b, 1), 1, 1, r=1)
     assert rep.bound_value == pytest.approx(7 ** 0.25 + 7 ** 0.5)
     assert rep.r == 1
 
     s6 = subset_from_codes(f13, range(1, 7))
-    rep = karatsuba_report(f13, s6, s6, 1, r=2)
-    w = w_of(f13, s6, s6, 1).w_or_v
-    assert rep.ratio == pytest.approx(w / rep.bound_value)
+    w = w_of(f13, s6, s6, 1)
+    rep = karatsuba_bound(f13, w, 6, 6, r=2)
+    assert rep.ratio == pytest.approx(w.w_or_v / rep.bound_value)
     assert rep.holds is None  # report only, nothing asserted
 
     with pytest.raises(ValueError):
-        karatsuba_report(f13, s6, s6, 1, r=0)
+        karatsuba_bound(f13, w, 6, 6, r=0)
 
 
 def test_moment_bound_characteristic_variant(f9):
     a, b = seeded_pair(f9, 79)
-    with_q = karatsuba_report(f9, a, b, 1, r=2).bound_value
-    with_p = karatsuba_report(f9, a, b, 1, r=2, use_p=True).bound_value
+    w = w_of(f9, a, b, 1)
+    with_q = karatsuba_bound(f9, w, a.size, b.size, r=2).bound_value
+    with_p = karatsuba_bound(f9, w, a.size, b.size, r=2, use_p=True).bound_value
     assert with_p < with_q  # base 3 against base 9
 
 

@@ -16,10 +16,6 @@ from ffb.setsgen import SetSpec, derive_seed, realize, stream_value
 TOL = 1e-9
 
 
-def shifted_product_char_sums(field, a, b, lam):
-    return Instance(field, {"a": a, "b": b}).product_table("a", "b", lam)
-
-
 def table_tol(field):
     return TOL * (field.q - 1)
 
@@ -114,15 +110,15 @@ def test_repfn_char_sums_matches_loop(f7):
 
 
 def test_shifted_product_full_group_vanishes(f7):
-    full = full_subset(f7)
-    table = shifted_product_char_sums(f7, full, full, 0).values
+    table = Instance(f7, {"f": full_subset(f7)}).product_table("f", "f", 0).values
     assert np.abs(table[1:]).max() < table_tol(f7)
 
 
 def test_shifted_product_singletons_unimodular(f7):
     a = subset_from_codes(f7, [2])
     b = subset_from_codes(f7, [3])
-    table = shifted_product_char_sums(f7, a, b, 1).values  # 2*3 - 1 = 5 != 0
+    # 2*3 - 1 = 5 != 0
+    table = Instance(f7, {"a": a, "b": b}).product_table("a", "b", 1).values
     assert np.allclose(np.abs(table), 1.0, atol=TOL)
 
 
@@ -144,7 +140,7 @@ def test_shifted_product_matches_double_loop(f7, f9, f16):
              lambda j: sum(counts[x] * chi(j, x) for x in range(q))),
             (repfn_char_sums(field, shift_repfn(field, RepFn(counts=counts), lam)),
              lambda j: sum(counts[x] * chi(j, field_sub(field, x, lam)) for x in range(q))),
-            (shifted_product_char_sums(field, a, b, lam),
+            (Instance(field, {"a": a, "b": b}).product_table("a", "b", lam),
              lambda j: sum(chi(j, field_sub(field, field_mul(field, x, y), lam))
                            for x in a.codes() for y in b.codes())),
         ]
@@ -162,7 +158,7 @@ def test_tables_are_exactly_hermitian_and_extremes_sit_in_the_first_half(f7, f11
             a, b = (realize(field, SetSpec("random", (1 + stream_value(41, 2 * idx + s) % field.q,)),
                             derive_seed(41, field.q, idx, s)) for s in range(2))
             lam = stream_value(43, idx) % field.q
-            t_w = shifted_product_char_sums(field, a, b, lam)
+            t_w = Instance(field, {"a": a, "b": b}).product_table("a", "b", lam)
             t_v = repfn_char_sums(field, rep_sum(field, a, b))
             for table in (set_char_sums(field, a).values, t_w.values, t_v.values):
                 assert table[0].imag == 0

@@ -343,6 +343,13 @@ def test_countn_guards_each_entry_not_the_mass(capsys):
         code, recs, _ = run_json(capsys, argv + ["--lambda", lam, "--no-timing"])
         assert code == 0
         assert recs[0]["n"] == want
+    # a third pair {1} x {1} folds in after the sum has passed 2^63, so
+    # N(lam + 1) with it is N(lam) without it
+    third = ["--a", "explicit:1", "--b", "explicit:1"]
+    for lam, want in (("6", (q - 2) * (q - 1) ** 2), ("1", (q - 1) ** 3)):
+        code, recs, _ = run_json(capsys, argv + third + ["--lambda", lam, "--no-timing"])
+        assert code == 0
+        assert recs[0]["n"] == want
     # over F_{2^16} the Walsh-Hadamard product keeps the mass guard
     code, _, err = run_json(capsys, ["countn", "--p", "2", "--k", "16"] + argv[3:]
                             + ["--lambda", "5"])

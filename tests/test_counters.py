@@ -17,6 +17,7 @@ from ffb.errors import BadParam, RoundingDrift
 from ffb.field import field_add, field_mul
 from ffb.instance import Instance
 from ffb.repfn import (
+    RepFn,
     empty_subset,
     full_subset,
     negate_subset,
@@ -30,22 +31,9 @@ from ffb.setsgen import SetSpec, derive_seed, realize, stream_value
 ABCD = ("a", "b", "c", "d")
 
 
-def bilinear_charform(field, a, b, c, d, lam):
-    return Instance(field, dict(zip(ABCD, (a, b, c, d)))).bilinear_charform(*ABCD, lam)
-
-
-def additive_charform(field, a, b, c, d):
-    return Instance(field, dict(zip(ABCD, (a, b, c, d)))).additive_charform(*ABCD)
-
-
-def count_additive(field, a, b, c, d):
-    return Instance(field, dict(zip(ABCD, (a, b, c, d)))).additive(*ABCD)
-
-
-def count_general(field, pairs, lam):
-    names = [(f"x{i}", f"y{i}") for i in range(len(pairs))]
-    sets = {name: s for pair, named in zip(pairs, names) for name, s in zip(named, pair)}
-    return int(Instance(field, sets).fold(names).counts[lam])
+def abcd(field, *sets):
+    """The instance with the given sets named a, b, c, d in order."""
+    return Instance(field, dict(zip(ABCD, sets)))
 
 
 def exceptional(field, f, g, h):
@@ -79,9 +67,9 @@ def test_count_bilinear_empty_input(f5):
 
 def test_charform_full_field_and_empty(f5):
     full, empty = full_subset(f5), empty_subset(f5)
-    n, main, err = bilinear_charform(f5, full, full, full, full, 1)
+    n, main, err = abcd(f5, full, full, full, full).bilinear_charform(*ABCD, 1)
     assert n == 120
-    assert (bilinear_charform(f5, empty, empty, empty, empty, 1)
+    assert (abcd(f5, empty, empty, empty, empty).bilinear_charform(*ABCD, 1)
             == (0, 0, 0))
 
 
@@ -90,7 +78,7 @@ def test_charform_matches_exact_count(f7):
         a, b, c, d = seeded_sets(f7, derive_seed(31, idx), 4)
         for lam in range(7):
             n = count_bilinear(f7, a, b, c, d, lam)
-            n_char, main, err = bilinear_charform(f7, a, b, c, d, lam)
+            n_char, main, err = abcd(f7, a, b, c, d).bilinear_charform(*ABCD, lam)
             assert n_char == n
             # the two output halves reassemble the nonzero branch
             assert abs((main + err) - round(main + err)) < 1e-6
@@ -99,37 +87,35 @@ def test_charform_matches_exact_count(f7):
 def test_count_additive_known_values(f5):
     full = full_subset(f5)
     zero = subset_from_codes(f5, [0])
-    assert count_additive(f5, full, full, full, full) == 125
-    assert count_additive(f5, zero, zero, full, full) == 9
-    assert count_additive(f5, empty_subset(f5), full, full, full) == 0
+    assert abcd(f5, full, full, full, full).additive(*ABCD) == 125
+    assert abcd(f5, zero, zero, full, full).additive(*ABCD) == 9
+    assert abcd(f5, empty_subset(f5), full, full, full).additive(*ABCD) == 0
 
 
 def test_additive_charform_matches_exact(f9):
     for idx in range(30):
         a, b, c, d = seeded_sets(f9, derive_seed(37, idx), 4)
-        t = count_additive(f9, a, b, c, d)
-        t_char, _, _ = additive_charform(f9, a, b, c, d)
-        assert t_char == t
+        inst = abcd(f9, a, b, c, d)
+        assert inst.additive_charform(*ABCD)[0] == inst.additive(*ABCD)
 
 
 def test_count_general_single_pair(f7):
     a = subset_from_codes(f7, [2])
     b = subset_from_codes(f7, [3])
-    assert count_general(f7, [(a, b)], 6) == 1
-    assert count_general(f7, [(a, b)], 1) == 0
+    counts = abcd(f7, a, b).fold([("a", "b")]).counts
+    assert counts[6] == 1 and counts[1] == 0
 
 
 def test_count_general_two_pairs_is_bilinear(f7):
     for idx in range(20):
         a, b, c, d = seeded_sets(f7, derive_seed(41, idx), 4)
         for lam in range(7):
-            assert (count_general(f7, [(a, b), (c, d)], lam)
+            assert (abcd(f7, a, b, c, d).fold([("a", "b"), ("c", "d")]).counts[lam]
                     == count_bilinear(f7, a, b, c, d, lam))
 
 
 def test_count_general_three_pairs_brute(f3):
-    full = full_subset(f3)
-    pairs = [(full, full)] * 3
+    counts = abcd(f3, full_subset(f3)).fold([("a", "a")] * 3).counts
     codes = range(3)
     for lam in range(3):
         brute = sum(
@@ -139,12 +125,22 @@ def test_count_general_three_pairs_brute(f3):
                                        field_mul(f3, a2, b2)),
                          field_mul(f3, a3, b3)) == lam
         )
-        assert count_general(f3, pairs, lam) == brute
+        assert counts[lam] == brute
 
 
 def test_count_general_needs_a_pair(f5):
     with pytest.raises(BadParam):
         fold_products(f5, [])
+
+
+def test_fold_products_past_an_accumulated_mass_of_2_64(f5):
+    # two pairs fold to a sum of exactly 2^64 with entries at most 2^62; a
+    # third pair that is a point mass at 1 translates it by 1
+    r = RepFn(counts=np.array([0] + [1 << 30] * 4, dtype=np.int64))
+    acc = fold_products(f5, [r, r])
+    assert acc.total() == 1 << 64 and int(acc.counts.max()) <= 1 << 62
+    one = RepFn(counts=np.eye(1, 5, 1, dtype=np.int64)[0])
+    assert fold_products(f5, [r, r, one]).counts.tolist() == np.roll(acc.counts, 1).tolist()
 
 
 def test_exceptional_set_known_cases(f5):
@@ -194,7 +190,7 @@ def test_counts_monotone_in_each_set(f9):
     for idx in range(10):
         a, b, c, d = grid_tuple(f9, idx, 4, base_seed=53)
         n0 = count_bilinear(f9, a, b, c, d, 1)
-        t0 = count_additive(f9, a, b, c, d)
+        t0 = abcd(f9, a, b, c, d).additive(*ABCD)
         grown = [a, b, c, d]
         for slot in range(4):
             missing = np.nonzero(~grown[slot].membership)[0]
@@ -204,7 +200,7 @@ def test_counts_monotone_in_each_set(f9):
             bigger[slot] = subset_from_codes(
                 f9, list(grown[slot].codes()) + [int(missing[0])])
             assert count_bilinear(f9, *bigger, 1) >= n0
-            assert count_additive(f9, *bigger) >= t0
+            assert abcd(f9, *bigger).additive(*ABCD) >= t0
 
 
 def test_lambda_sum_rule(f11, f16):
@@ -219,6 +215,6 @@ def test_rounding_drift_guard_fires_on_broken_transform(f7, monkeypatch):
     real = ffb.characters._transform
     monkeypatch.setattr(ffb.characters, "_transform", lambda v: real(v) + 0.25)
     with pytest.raises(RoundingDrift):
-        bilinear_charform(f7, a, b, c, d, 1)
+        abcd(f7, a, b, c, d).bilinear_charform(*ABCD, 1)
     with pytest.raises(RoundingDrift):
-        additive_charform(f7, a, b, c, d)
+        abcd(f7, a, b, c, d).additive_charform(*ABCD)

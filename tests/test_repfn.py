@@ -212,11 +212,20 @@ def test_additive_convolve_guards_each_entry_not_the_mass():
                 additive_convolve(field, r, r)
         else:
             assert additive_convolve(field, r, r).counts.tolist() == [field.q << 40] * field.q
-    # entries near 2^62 whose int64 sum wraps to 0: every output entry is 2^64
+    # entries near 2^62 whose int64 sum wraps to 0: against all-ones every
+    # output entry is 2^64 and is refused; against a point mass at d the
+    # output is the input translated by d, which the packed plan, misled by
+    # a wrapped sum, would read as zeros
     field = make_field(5)
     heavy = RepFn(counts=np.array([1 << 62] * 4 + [0], dtype=np.int64))
+    assert heavy.total() == 1 << 64
     with pytest.raises(IntegerOverflow, match="entry bound 18446744073709551616"):
         additive_convolve(field, heavy, RepFn(counts=np.ones(5, dtype=np.int64)))
+    for d in (0, 1):
+        delta = RepFn(counts=np.eye(1, 5, d, dtype=np.int64)[0])
+        want = np.roll(heavy.counts, d).tolist()
+        assert additive_convolve(field, heavy, delta).counts.tolist() == want
+        assert additive_convolve(field, delta, heavy).counts.tolist() == want
     # one heavy entry against a spread: entries 2^61 and 2^62, mass 2^64
     field = make_field(7)
     heavy = np.zeros(7, dtype=np.int64)

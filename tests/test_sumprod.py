@@ -16,24 +16,19 @@ from ffb.setsgen import SetSpec, derive_seed, realize, stream_value
 from ffb.sumprod import garaev_inequality_report, garaev_solution_count
 
 
-def sumset(field, x, y):
-    return Instance(field, {"x": x, "y": y}).subset("x+y")
-
-
-def productset(field, x, y):
-    return Instance(field, {"x": x, "y": y}).subset("x*y")
-
-
-def count_determinant2(field, a, b, c, d, lam):
-    return Instance(field, dict(zip("abcd", (a, b, c, d)))).bilinear("a", "d", "-b", "c", lam)
+def xy(field, x, y):
+    """The instance with sets x and y, for its subsets "x+y" and "x*y"."""
+    return Instance(field, {"x": x, "y": y})
 
 
 def garaev(field, x, y):
-    return garaev_solution_count(field, x, y, sumset(field, x, y), productset(field, x, y))
+    inst = xy(field, x, y)
+    return garaev_solution_count(field, x, y, inst.subset("x+y"), inst.subset("x*y"))
 
 
 def inequality(field, x, y):
-    return garaev_inequality_report(field, x, y, sumset(field, x, y), productset(field, x, y))
+    inst = xy(field, x, y)
+    return garaev_inequality_report(field, x, y, inst.subset("x+y"), inst.subset("x*y"))
 
 
 def seeded_pair(field, seed):
@@ -47,24 +42,24 @@ def seeded_pair(field, seed):
 
 def test_sumset_productset_known_values(f5, f7):
     zero = subset_from_codes(f5, [0])
-    assert sumset(f5, zero, zero).codes().tolist() == [0]
-    assert productset(f5, zero, zero).codes().tolist() == [0]
+    assert xy(f5, zero, zero).subset("x+y").codes().tolist() == [0]
+    assert xy(f5, zero, zero).subset("x*y").codes().tolist() == [0]
 
     x = subset_from_codes(f5, [1, 2])
     y = subset_from_codes(f5, [1])
-    assert sumset(f5, x, y).codes().tolist() == [2, 3]
-    assert productset(f5, x, y).codes().tolist() == [1, 2]
+    assert xy(f5, x, y).subset("x+y").codes().tolist() == [2, 3]
+    assert xy(f5, x, y).subset("x*y").codes().tolist() == [1, 2]
 
     star = subset_from_codes(f7, range(1, 7))
-    assert productset(f7, star, star).codes().tolist() == list(range(1, 7))
+    assert xy(f7, star, star).subset("x*y").codes().tolist() == list(range(1, 7))
 
 
 def test_set_sizes_bounded(f11):
     for idx in range(20):
         x, y = seeded_pair(f11, derive_seed(97, idx))
         cap = min(f11.q, x.size * y.size)
-        assert sumset(f11, x, y).size <= cap
-        assert productset(f11, x, y).size <= cap
+        assert xy(f11, x, y).subset("x+y").size <= cap
+        assert xy(f11, x, y).subset("x*y").size <= cap
 
 
 def test_solution_count_tiny_cases(f5):
@@ -105,8 +100,8 @@ def test_inequality_report_values(f5, f13):
 def test_inequality_report_interval_example():
     f101 = make_field(101)
     x = subset_from_codes(f101, range(1, 11))
-    assert sumset(f101, x, x).size == 19
-    assert productset(f101, x, x).size == 42
+    assert xy(f101, x, x).subset("x+y").size == 19
+    assert xy(f101, x, x).subset("x*y").size == 42
     expected = 19 * 42 / min(101 * 10, (10 * 10) ** 2 / 101)
     assert inequality(f101, x, x) == pytest.approx(expected)
 
@@ -118,10 +113,10 @@ def test_inequality_report_rejects_extensions(f9):
 
 
 def test_determinant_count_full_field(f5):
-    full = full_subset(f5)
-    assert count_determinant2(f5, full, full, full, full, 1) == 120
-    assert count_determinant2(f5, full, full, full, full, 0) == 145
-    assert count_determinant2(f5, empty_subset(f5), full, full, full, 1) == 0
+    inst = Instance(f5, {"f": full_subset(f5), "e": empty_subset(f5)})
+    assert inst.bilinear("f", "f", "-f", "f", 1) == 120
+    assert inst.bilinear("f", "f", "-f", "f", 0) == 145
+    assert inst.bilinear("e", "f", "-f", "f", 1) == 0
 
 
 @pytest.mark.parametrize("shape", [(3, 1), (5, 1), (7, 1)])
@@ -131,15 +126,16 @@ def test_determinant_count_matches_brute(shape):
     for idx in range(50):
         a, b, c, d = grid_tuple(field, idx, 4, base_seed=103)
         brute = brute_det2_all(tables, a, b, c, d)
+        inst = Instance(field, dict(zip("abcd", (a, b, c, d))))
         for lam in range(field.q):
-            assert count_determinant2(field, a, b, c, d, lam) == int(brute[lam])
+            assert inst.bilinear("a", "d", "-b", "c", lam) == int(brute[lam])
 
 
 def garaev_triple_loop(field, x, y):
     """The direct count, kept as the oracle: for each x1 != 0 and x2 in X,
     the v in V = X * Y with v * x1^(-1) + x2 in U = X + Y."""
-    u_set = sumset(field, x, y)
-    vs = productset(field, x, y).codes()
+    u_set = xy(field, x, y).subset("x+y")
+    vs = xy(field, x, y).subset("x*y").codes()
     count = 0
     for x1 in x.codes():
         if x1 == 0:
@@ -168,4 +164,4 @@ def test_solution_count_below_lower_bound_raises(f5):
     # an empty U stands in for a broken sumset
     full = full_subset(f5)
     with pytest.raises(InvariantViolation):
-        garaev_solution_count(f5, full, full, empty_subset(f5), productset(f5, full, full))
+        garaev_solution_count(f5, full, full, empty_subset(f5), xy(f5, full, full).subset("x*y"))
