@@ -27,24 +27,25 @@ from .instance import Instance
 from .setsgen import SetSpec, derive_seed, parse_setspec, realize
 
 ABCD = ("a", "b", "c", "d")
-SET_SLOTS = {
-    "count": ABCD,
-    "countT": ABCD,
-    "det2": ABCD,
-    "solvability": ABCD,
-    "exceptional": ("f", "g", "h"),
-    "sumprod": ("x", "y"),
-    "bounds": ("a", "b"),
+# Each op's set slots and its --lambda: True required, False optional, None
+# absent.  The slots name every set flag, bounds' optional --c/--d included.
+OPS = {
+    "count": (ABCD, True), "det2": (ABCD, True), "solvability": (ABCD, True),
+    "countT": (ABCD, None), "countn": (("a", "b"), True),
+    "exceptional": (("f", "g", "h"), None), "bounds": (("a", "b"), False),
+    "sumprod": (("x", "y"), None),
 }
-
-LAMBDA_OPS = {"count", "countn", "det2", "solvability", "bounds"}
+SET_FLAGS = frozenset(f"--{slot}" for slots, _ in OPS.values() for slot in slots)
 
 
 class _Usage(Exception):
     pass
 
 
-def _field_args(parser: argparse.ArgumentParser) -> None:
+def _declare(parser: argparse.ArgumentParser, op: str, scan: bool) -> argparse.ArgumentParser:
+    """Declare op's flags on parser, from OPS: field, sets, --lambda, the
+    extras of bounds and, for scan, --seeds and --jobs."""
+    slots, lam = OPS[op]
     parser.add_argument("--p", type=int, required=True, help="field characteristic")
     parser.add_argument("--k", type=int, default=1, help="extension degree")
     parser.add_argument("--modulus", type=str, default=None,
@@ -54,16 +55,23 @@ def _field_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--no-timing", action="store_true",
                         help="omit elapsed_us from the output")
-
-
-def _set_args(parser: argparse.ArgumentParser, slots, repeatable=False) -> None:
+    repeatable = op == "countn"
     for slot in slots:
-        if repeatable:
-            parser.add_argument(f"--{slot}", action="append", required=True,
-                                metavar="SPEC", help=f"set {slot} (repeatable)")
-        else:
-            parser.add_argument(f"--{slot}", required=True, metavar="SPEC",
-                                help=f"set {slot}")
+        parser.add_argument(f"--{slot}", action="append" if repeatable else "store",
+                            required=True, metavar="SPEC",
+                            help=f"set {slot}" + " (repeatable)" * repeatable)
+    if lam is not None:
+        parser.add_argument("--lambda", dest="lam", required=lam, help="target code, or all / all0")
+    if op == "bounds":
+        parser.add_argument("--c", default=None, metavar="SPEC")
+        parser.add_argument("--d", default=None, metavar="SPEC")
+        parser.add_argument("--r-max", type=int, default=8, help="sweep moment parameter 1..r_max")
+        parser.add_argument("--use-p", action="store_true",
+                            help="use the characteristic instead of q in the moment bound")
+    if scan:
+        parser.add_argument("--seeds", type=int, default=1, help="number of seeded instances")
+        parser.add_argument("--jobs", type=int, default=1, help="worker processes")
+    return parser
 
 
 # Built once per process: parse_args does not change the parser, and each
@@ -75,55 +83,11 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--script", type=str, default=None,
                      help="file of command lines to replay; other args ignored")
     sub = top.add_subparsers(dest="op")
-
-    for op in ("count", "det2", "solvability"):
-        p = sub.add_parser(op)
-        _field_args(p)
-        _set_args(p, SET_SLOTS[op])
-        p.add_argument("--lambda", dest="lam", required=True,
-                       help="target code, or all / all0")
-
-    p = sub.add_parser("countT")
-    _field_args(p)
-    _set_args(p, SET_SLOTS["countT"])
-
-    p = sub.add_parser("countn")
-    _field_args(p)
-    _set_args(p, ("a", "b"), repeatable=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-
-    p = sub.add_parser("exceptional")
-    _field_args(p)
-    _set_args(p, SET_SLOTS["exceptional"])
-
-    p = sub.add_parser("bounds")
-    _field_args(p)
-    _set_args(p, SET_SLOTS["bounds"])
-    p.add_argument("--c", default=None, metavar="SPEC")
-    p.add_argument("--d", default=None, metavar="SPEC")
-    p.add_argument("--lambda", dest="lam", default=None)
-    p.add_argument("--r-max", type=int, default=8, help="sweep moment parameter 1..r_max")
-    p.add_argument("--use-p", action="store_true",
-                   help="use the characteristic instead of q in the moment bound")
-
-    p = sub.add_parser("sumprod")
-    _field_args(p)
-    _set_args(p, SET_SLOTS["sumprod"])
-
-    p = sub.add_parser("scan")
-    _field_args(p)
-    p.add_argument("--op", dest="scan_op", required=True,
-                   choices=("count", "countT", "countn", "det2", "solvability",
-                            "exceptional", "bounds", "sumprod"))
-    for slot in ("a", "b"):
-        p.add_argument(f"--{slot}", action="append", default=None, metavar="SPEC")
-    for slot in ("c", "d", "f", "g", "h", "x", "y"):
-        p.add_argument(f"--{slot}", default=None, metavar="SPEC")
-    p.add_argument("--lambda", dest="lam", default=None)
-    p.add_argument("--r-max", type=int, default=8)
-    p.add_argument("--use-p", action="store_true")
-    p.add_argument("--seeds", type=int, default=1, help="number of seeded instances")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    for op in OPS:
+        _declare(sub.add_parser(op), op, False)
+    # scan holds only --op; the rest, --help and set h's --h included, goes to _scan_parser
+    sub.add_parser("scan", add_help=False, allow_abbrev=False).add_argument(
+        "--op", dest="scan_op", required=True, choices=tuple(OPS))
 
     p = sub.add_parser("selftest")
     p.add_argument("--q-max", type=int, default=13)
@@ -131,6 +95,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     return top
+
+
+@functools.cache
+def _scan_parser(op: str) -> argparse.ArgumentParser:
+    """The flags of scan --op op: op's own, --seeds and --jobs."""
+    return _declare(argparse.ArgumentParser(prog=f"ffb scan --op {op}"), op, True)
 
 
 # ----------------------------------------------------------------------
@@ -266,7 +236,7 @@ def _walk(field: FieldSpec, instances: list[tuple[int, int | None, int | None]],
                            "modulus": list(field.modulus)}
         record["sets"] = {name: spec.text() for name, spec in specs}
         record["seed"] = seed
-        if lam is not None or op in LAMBDA_OPS:
+        if OPS[op][1] is not None:
             record["lambda"] = lam
         record.update(results)
         if with_timing:
@@ -313,22 +283,23 @@ def _flatten(record: dict, prefix: str = "") -> dict:
     return flat
 
 
-class _Emitter:
-    def __init__(self, fmt: str):
-        self.fmt = fmt
-        self.writer = None
-
-    def emit(self, record: dict) -> None:
-        if self.fmt == "json":
+def _emit(fmt: str, outcomes: Iterator[tuple[dict, bool]]) -> int:
+    """Write each record as a JSON line or a CSV row under one header, as
+    it comes; the exit code is 0 when every outcome was healthy, else 1."""
+    writer, all_ok = None, True
+    for record, ok in outcomes:
+        all_ok = all_ok and ok
+        if fmt == "json":
             sys.stdout.write(json.dumps(record) + "\n")
-            return
+            continue
         flat = _flatten(record)
-        if self.writer is None:
+        if writer is None:
             import csv
 
-            self.writer = csv.DictWriter(sys.stdout, fieldnames=list(flat))
-            self.writer.writeheader()
-        self.writer.writerow(flat)
+            writer = csv.DictWriter(sys.stdout, fieldnames=list(flat))
+            writer.writeheader()
+        writer.writerow(flat)
+    return 0 if all_ok else 1
 
 
 # ----------------------------------------------------------------------
@@ -345,41 +316,24 @@ def _field_params(args) -> dict:
     return {"p": args.p, "k": args.k, "modulus": modulus, "max_q": args.max_q}
 
 
-def _one(value, name: str) -> str:
-    """Unwrap a possibly-appended flag value down to one spec string."""
-    if isinstance(value, list):
-        if len(value) != 1:
-            raise _Usage(f"--{name} given {len(value)} times, expected once")
-        value = value[0]
-    if value is None:
-        raise _Usage(f"--{name} is required")
-    return value
-
-
 def _slots_from_args(args, op: str) -> tuple[list[tuple[str, str]], dict]:
-    extra: dict = {}
     if op == "countn":
-        a_specs = args.a or []
-        b_specs = args.b or []
-        if len(a_specs) != len(b_specs) or not a_specs:
+        if len(args.a) != len(args.b):
             raise _Usage("countn needs equally many --a and --b, at least one each")
-        extra["pairs"] = [(f"a{i}", f"b{i}") for i in range(len(a_specs))]
-        slots = [slot for names, specs in zip(extra["pairs"], zip(a_specs, b_specs))
+        pairs = [(f"a{i}", f"b{i}") for i in range(len(args.a))]
+        slots = [slot for names, specs in zip(pairs, zip(args.a, args.b))
                  for slot in zip(names, specs)]
-        return slots, extra
-    if op == "bounds":
-        slots = [("a", _one(args.a, "a")), ("b", _one(args.b, "b"))]
-        if (args.c is None) != (args.d is None):
-            raise _Usage("bounds needs --c and --d together or neither")
-        if args.c is not None:
-            if args.lam is None:
-                raise _Usage("bounds --c/--d measure the error term at a target: give --lambda")
-            slots += [("c", args.c), ("d", args.d)]
-        extra["r_max"] = args.r_max
-        extra["use_p"] = args.use_p
-        return slots, extra
-    slots = [(name, _one(getattr(args, name), name)) for name in SET_SLOTS[op]]
-    return slots, extra
+        return slots, {"pairs": pairs}
+    slots = [(name, getattr(args, name)) for name in OPS[op][0]]
+    if op != "bounds":
+        return slots, {}
+    if (args.c is None) != (args.d is None):
+        raise _Usage("bounds needs --c and --d together or neither")
+    if args.c is not None:
+        if args.lam is None:
+            raise _Usage("bounds --c/--d measure the error term at a target: give --lambda")
+        slots += [("c", args.c), ("d", args.d)]
+    return slots, {"r_max": args.r_max, "use_p": args.use_p}
 
 
 def _run_instances(args) -> int:
@@ -398,7 +352,7 @@ def _run_instances(args) -> int:
     field_params = _field_params(args)
     slots, extra = _slots_from_args(args, op)
     field = make_field(**field_params)
-    lams = _parse_lambda(field, getattr(args, "lam", None)) if op in LAMBDA_OPS else [None]
+    lams = _parse_lambda(field, getattr(args, "lam", None))
     if scan:
         if args.seeds < 1:
             raise _Usage(f"--seeds must be >= 1, got {args.seeds}")
@@ -420,12 +374,7 @@ def _run_instances(args) -> int:
         tasks = [(field_params, instances[lo:hi], walk_args) for lo, hi in zip(cuts, cuts[1:])]
         with concurrent.futures.ProcessPoolExecutor(max_workers=chunks) as pool:
             outcomes = _until_failure(list(pool.map(_run_chunk, tasks)))
-    emitter = _Emitter(args.format)
-    all_ok = True
-    for record, ok in outcomes:
-        emitter.emit(record)
-        all_ok = all_ok and ok
-    return 0 if all_ok else 1
+    return _emit(args.format, outcomes)
 
 
 def _run_selftest(args) -> int:
@@ -457,11 +406,26 @@ def _run_script(path: str) -> int:
     return worst
 
 
+def _join_negated(argv: list[str]) -> list[str]:
+    """argv with --a -SPEC as --a=-SPEC for each set flag: argparse reads -SPEC as a flag."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in SET_FLAGS and token[:1] == "-" and token[:2] != "--":
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def run(argv: list[str] | None = None) -> int:
     """Parse argv and execute; returns the process exit code."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, rest = parser.parse_known_args(_join_negated(sys.argv[1:] if argv is None else argv))
+        if args.op == "scan":
+            _scan_parser(args.scan_op).parse_args(rest, namespace=args)
+        elif rest:
+            parser.error(f"unrecognized arguments: {' '.join(rest)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.script is not None:

@@ -23,12 +23,14 @@ from __future__ import annotations
 import numpy as np
 
 from .characters import CharSumTable
-from .errors import BadParam, RoundingDrift
+from .errors import BadParam, IntegerOverflow, RoundingDrift
 from .field import FieldSpec
 from .repfn import (
+    INT64_LIMIT,
     FqSubset,
     RepFn,
     additive_convolve,
+    entry_bound,
     negate_repfn,
     negate_subset,
     rep_product,
@@ -51,7 +53,12 @@ def additive_count(r: RepFn, rho: RepFn) -> int:
     """The inner product of two representation functions, exact: the count of
     a + b = c*d from r_{A+B} and r_CD, and of a*b + c*d = lam from r_AB
     shifted by lam and r_CD negated (the pairs with a*b - lam = y number
-    r_AB[y + lam], those with c*d = -y number r_CD[-y])."""
+    r_AB[y + lam], those with c*d = -y number r_CD[-y]).
+
+    Raises IntegerOverflow unless entry_bound(r, rho) < 2^63, so np.dot cannot wrap."""
+    bound = entry_bound(r, rho)
+    if bound >= INT64_LIMIT:
+        raise IntegerOverflow(f"inner product bound {bound} exceeds the exact int64 range")
     return int(np.dot(r.counts, rho.counts))
 
 

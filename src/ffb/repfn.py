@@ -111,8 +111,11 @@ class RepFn:
     def total(self) -> int:
         return exact_sum(self.counts)
 
-    def support(self) -> np.ndarray:
-        return np.nonzero(self.counts)[0].astype(np.int64)
+
+def entry_bound(r1: RepFn, r2: RepFn) -> int:
+    """min(sum(r1) max(r2), sum(r2) max(r1)), exact: for nonnegative counts, a
+    bound on their inner product and on every entry of their convolutions."""
+    return min(r1.total() * int(r2.counts.max()), r2.total() * int(r1.counts.max()))
 
 
 def subset_from_codes(field: FieldSpec, codes: Sequence[int] | np.ndarray) -> FqSubset:
@@ -453,22 +456,20 @@ def additive_convolve(field: FieldSpec, r1: RepFn, r2: RepFn) -> RepFn:
     """out[z] = sum over x of r1[x] * r2[z - x], subtraction in F_q, exact in int64.
 
     Raises BadParam for a negative count, and IntegerOverflow, before any
-    transform, unless every entry is proven below 2^63.  Each term is at
-    most one input entry times the other input's maximum, so every entry is
-    at most B = min(sum(r1) max(r2), sum(r2) max(r1)), and over Z_q and odd
-    p the guard is B < 2^63: the translate loop adds nonnegative terms, so
-    no partial sum passes its entry, and the cyclic convolution recombines
-    exact limb weights as out += weight << (width w) in wrapping int64, ring
-    arithmetic mod 2^64 that yields the true entry once it is below 2^63.
-    Over F_{2^k} the guard stays the mass sum(r1) sum(r2) < 2^63: the
-    pointwise product WHT(r1) * WHT(r2) reaches it in int64, and the inverse
-    transform divides by q, which does not commute with a wrap mod 2^64.
+    transform, unless every entry is proven below 2^63.  Every entry is at
+    most B = entry_bound(r1, r2), and over Z_q and odd p the guard is
+    B < 2^63: the translate loop adds nonnegative terms, so no partial sum
+    passes its entry, and the cyclic convolution recombines exact limb
+    weights as out += weight << (width w) in wrapping int64, ring arithmetic
+    mod 2^64 that yields the true entry once it is below 2^63.  Over F_{2^k}
+    the guard stays the mass sum(r1) sum(r2) < 2^63: the pointwise product
+    WHT(r1) * WHT(r2) reaches it in int64, and the inverse transform divides
+    by q, which does not commute with a wrap mod 2^64.
     """
     if min(r1.counts.min(), r2.counts.min()) < 0:
         raise BadParam("additive_convolve: counts must be nonnegative")
-    s1, s2 = r1.total(), r2.total()
     wht = field.p == 2 and field.k > 1
-    bound = s1 * s2 if wht else min(s1 * int(r2.counts.max()), s2 * int(r1.counts.max()))
+    bound = r1.total() * r2.total() if wht else entry_bound(r1, r2)
     if bound >= INT64_LIMIT:
         what = "mass" if wht else "entry bound"
         raise IntegerOverflow(f"convolution {what} {bound} exceeds the exact int64 range")

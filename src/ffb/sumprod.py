@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
+from .counters import additive_count
 from .errors import InvariantViolation, NotPrimeField
 from .field import FieldSpec
 from .repfn import FqSubset, inverse_subset, negate_subset, rep_product, rep_sum
@@ -31,8 +30,7 @@ def garaev_solution_count(field: FieldSpec, x: FqSubset, y: FqSubset, u: FqSubse
     u = Instance.subset("x+y") and v = Instance.subset("x*y")."""
     shifts = rep_sum(field, u, negate_subset(field, x))
     scales = rep_product(field, v, inverse_subset(field, x))
-    # both factors are nonnegative and the total is at most #X^2 * q < 2^63
-    count = int(np.dot(shifts.counts, scales.counts))
+    count = additive_count(shifts, scales)
     lower = x.star_size() * x.size * y.size
     if count < lower:
         # the witness family is injective, so this is a bug

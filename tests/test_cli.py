@@ -1,5 +1,6 @@
 """Front-end behavior: records, formats, exit codes, scan and script modes."""
 
+import argparse
 import concurrent.futures
 import csv
 import functools
@@ -216,6 +217,58 @@ def test_usage_errors_exit_2(capsys):
     for argv in cases:
         assert run(argv) == 2, argv
         capsys.readouterr()
+
+
+def op_parsers():
+    """(op, the parser of ffb op, the parser of ffb scan --op op) for every op."""
+    (sub,) = [a for a in ffb.cli._build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return [(op, sub.choices[op], ffb.cli._scan_parser(op)) for op in ffb.cli.OPS]
+
+
+def test_scan_takes_exactly_the_flags_of_its_op():
+    for op, single, scan in op_parsers():
+        flags = [set(p._option_string_actions) for p in (single, scan)]
+        assert flags[1] - flags[0] == {"--seeds", "--jobs"}, op
+        assert flags[0] <= flags[1], op
+
+
+def test_scan_refuses_a_flag_its_op_does_not_take(capsys):
+    sets = ["--a", "random:2", "--b", "random:2", "--c", "random:2", "--d", "random:2"]
+    for cmd in (["countT"], ["scan", "--op", "countT"]):
+        assert run(cmd + ["--p", "5"] + sets + ["--lambda", "3", "--no-timing"]) == 2
+        assert "unrecognized arguments: --lambda 3" in capsys.readouterr().err
+    assert run(["scan", "--op", "count", "--p", "5"] + sets[:-2] + ["--lambda", "3"]) == 2
+    assert "required: --d" in capsys.readouterr().err
+
+
+def test_scan_help_lists_the_flags_of_its_op(capsys):
+    assert run(["scan", "--op", "count", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert all(flag in out for flag in ("--seeds", "--jobs", "--lambda", "--d SPEC"))
+    assert run(["scan", "--op", "exceptional", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "--h SPEC" in out and "--lambda" not in out
+
+
+def test_scan_reads_set_h_and_keeps_the_last_repeated_set(capsys):
+    code, recs, _ = run_json(capsys, ["scan", "--op", "exceptional", "--p", "7", "--f",
+                                      "random:2", "--g", "random:2", "--h", "random:4"])
+    assert code == 0 and recs[0]["sets"]["h"] == "random:4"
+    code, recs, _ = run_json(capsys, ["scan", "--op", "bounds", "--p", "7", "--a", "random:2",
+                                      "--a", "random:3", "--b", "random:2"])
+    assert code == 0 and recs[0]["sets"]["a"] == "random:3"
+
+
+@pytest.mark.parametrize("scan", [False, True])
+def test_negated_spec_may_be_a_separate_argument(capsys, scan):
+    head = ["scan", "--op", "count"] if scan else ["count"]
+    tail = ["--b", "random:3", "--c", "explicit:1", "--lambda", "1", "--no-timing"]
+    joined = run_lines(capsys, head + ["--p", "7", "--a=-random:3", "--d=-explicit:2"] + tail)
+    separate = run_lines(capsys, head + ["--p", "7", "--a", "-random:3", "--d", "-explicit:2"]
+                         + tail)
+    assert joined == separate and joined[0] == 0
+    assert json.loads(joined[1][0])["sets"]["a"] == "-random:3"
 
 
 def test_not_prime_reported_on_stderr(capsys):

@@ -13,7 +13,7 @@ from ffb.counters import (
     fold_products,
     verify_sarkozy_identity,
 )
-from ffb.errors import BadParam, RoundingDrift
+from ffb.errors import BadParam, IntegerOverflow, RoundingDrift
 from ffb.field import field_add, field_mul
 from ffb.instance import Instance
 from ffb.repfn import (
@@ -141,6 +141,17 @@ def test_fold_products_past_an_accumulated_mass_of_2_64(f5):
     assert acc.total() == 1 << 64 and int(acc.counts.max()) <= 1 << 62
     one = RepFn(counts=np.eye(1, 5, 1, dtype=np.int64)[0])
     assert fold_products(f5, [r, r, one]).counts.tolist() == np.roll(acc.counts, 1).tolist()
+
+
+def test_additive_count_refuses_an_inner_product_past_2_63():
+    # the true value 2^64 wraps to 0 in an int64 dot product
+    r = RepFn(counts=np.array([1 << 62, 1 << 62, 0], dtype=np.int64))
+    rho = RepFn(counts=np.array([2, 2, 0], dtype=np.int64))
+    with pytest.raises(IntegerOverflow, match="bound 18446744073709551616"):
+        additive_count(r, rho)
+    # one below the bound, the count is exact
+    r = RepFn(counts=np.array([1 << 62, (1 << 62) - 1, 0], dtype=np.int64))
+    assert additive_count(r, RepFn(counts=np.array([1, 1, 0], dtype=np.int64))) == (1 << 63) - 1
 
 
 def test_exceptional_set_known_cases(f5):
