@@ -42,7 +42,6 @@ from .field import (
     field_mul,
     field_neg,
     field_sub,
-    find_generator,
     make_field,
 )
 from .instance import Instance
@@ -53,7 +52,6 @@ from .repfn import (
     complement_subset,
     empty_subset,
     full_subset,
-    negate_repfn,
     negate_subset,
     rep_product,
     rep_sum,

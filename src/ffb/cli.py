@@ -6,7 +6,8 @@ timing is excluded (--no-timing); scan results are emitted in instance
 order no matter how many worker processes run.
 
 Exit codes: 0 success, 1 hard failure (a proven bound or cross-check did
-not hold), 2 usage error (bad flags, bad set spec, bad field parameters).
+not hold, named on stderr), 2 usage error (bad flags, bad set spec, bad
+field parameters).
 """
 
 from __future__ import annotations
@@ -129,40 +130,45 @@ def _sanitize(value):
     return value
 
 
-def _compute(op: str, inst: Instance, lam: int | None, extra: dict) -> tuple[dict, bool]:
-    """Result fields for one instance at lam; second value is overall health."""
+def _failed(*checks: tuple[str, bool]) -> list[str]:
+    """The names of the (name, holds) checks that do not hold."""
+    return [name for name, holds in checks if not holds]
+
+
+def _compute(op: str, inst: Instance, lam: int | None, extra: dict) -> tuple[dict, list[str]]:
+    """Result fields for one instance at lam, and the failed checks, named
+    by record keys; the record is healthy when none failed."""
     field, sets = inst.field, inst.sets
     if op == "count":
         n = inst.bilinear(*ABCD, lam)
         n_char, main, err = inst.bilinear_charform(*ABCD, lam)
         return ({"n": n, "n_charform": n_char, "main": main, "err": err},
-                n == n_char)
+                _failed(("n != n_charform", n == n_char)))
     if op == "countT":
         t = inst.additive(*ABCD)
         t_char, main, err = inst.additive_charform(*ABCD)
         return ({"t": t, "t_charform": t_char, "main": main, "err": err},
-                t == t_char)
+                _failed(("t != t_charform", t == t_char)))
     if op == "countn":
         pairs = extra["pairs"]
         n = int(inst.fold(pairs).counts[lam])
         ok = len(pairs) != 2 or n == inst.bilinear(*pairs[0], *pairs[1], lam)
-        return {"n": n, "n_pairs": len(pairs)}, ok
+        return {"n": n, "n_pairs": len(pairs)}, _failed(("n != the two-pair bilinear count", ok))
     if op == "det2":
         # a*d - b*c = lam is a*d + (-b)*c = lam
-        return {"n": inst.bilinear("a", "d", "-b", "c", lam)}, True
+        return {"n": inst.bilinear("a", "d", "-b", "c", lam)}, []
     if op == "exceptional":
         r_gh = inst.product("g", "h")
         e = counters.exceptional_set(field, sets["f"], r_gh)
         ok = counters.verify_sarkozy_identity(field, sets["f"], e, r_gh)
         ratio = e.size * sets["f"].size * sets["g"].size * sets["h"].size / field.q ** 3
-        return {"e_size": e.size, "sarkozy_ok": ok, "ratio": ratio}, ok
+        return {"e_size": e.size, "sarkozy_ok": ok, "ratio": ratio}, _failed(("sarkozy_ok", ok))
     if op == "solvability":
         rep = inst.solvability(*ABCD, lam)
         n = inst.bilinear(*ABCD, lam)
-        ok = (not rep.holds) or n > 0
         return ({"n": n, "main": rep.bound_value, "threshold": rep.w_or_v,
                  "fires": rep.holds, "empirical_delta": _sanitize(rep.empirical_delta)},
-                ok)
+                _failed(("fires and n == 0", not rep.holds or n > 0)))
     if op == "sumprod":
         x, y, u, v = sets["x"], sets["y"], inst.subset("x+y"), inst.subset("x*y")
         count, lower = sumprod.garaev_solution_count(field, x, y, u, v)
@@ -171,13 +177,13 @@ def _compute(op: str, inst: Instance, lam: int | None, extra: dict) -> tuple[dic
             c0 = _sanitize(sumprod.garaev_inequality_report(field, x, y, u, v))
         return ({"count": count, "lower": lower, "ok": count >= lower,
                  "u_size": u.size, "v_size": v.size, "c0_ratio": c0},
-                count >= lower)
+                _failed(("ok", count >= lower)))
     if op == "bounds":
         return _compute_bounds(inst, lam, extra)
     raise AssertionError(f"unknown op {op}")
 
 
-def _compute_bounds(inst: Instance, lam: int | None, extra: dict) -> tuple[dict, bool]:
+def _compute_bounds(inst: Instance, lam: int | None, extra: dict) -> tuple[dict, list[str]]:
     field, a, b = inst.field, inst.sets["a"], inst.sets["b"]
     out: dict = {}
     rep_v = bounds.vinogradov_bound(field, inst.v("a", "b"), a.size, b.size)
@@ -185,7 +191,7 @@ def _compute_bounds(inst: Instance, lam: int | None, extra: dict) -> tuple[dict,
     out["v_argmax"] = rep_v.argmax_j
     out["vinogradov_v"] = {"bound": rep_v.bound_value, "ratio": rep_v.ratio,
                            "holds": rep_v.holds}
-    ok = rep_v.holds
+    checks = [("vinogradov_v.holds", rep_v.holds)]
     if lam is not None:
         w = inst.w("a", "b", lam)
         rep_w = bounds.vinogradov_bound(field, w, a.size, b.size)
@@ -193,7 +199,7 @@ def _compute_bounds(inst: Instance, lam: int | None, extra: dict) -> tuple[dict,
         out["w_argmax"] = rep_w.argmax_j
         out["vinogradov_w"] = {"bound": rep_w.bound_value, "ratio": rep_w.ratio,
                                "holds": rep_w.holds}
-        ok = ok and rep_w.holds
+        checks.append(("vinogradov_w.holds", rep_w.holds))
         sweep = (bounds.karatsuba_bound(field, w, a.size, b.size, r, extra["use_p"])
                  for r in range(1, extra["r_max"] + 1))
         out["karatsuba"] = [{"r": kr.r, "bound": kr.bound_value, "ratio": kr.ratio}
@@ -203,8 +209,8 @@ def _compute_bounds(inst: Instance, lam: int | None, extra: dict) -> tuple[dict,
             out["cauchy"] = {"err": rep_c.w_or_v, "bound": rep_c.bound_value,
                              "ratio": rep_c.ratio, "holds": rep_c.holds,
                              "strict": rep_c.strict}
-            ok = ok and rep_c.holds
-    return out, ok
+            checks.append(("cauchy.holds", rep_c.holds))
+    return out, _failed(*checks)
 
 
 # ----------------------------------------------------------------------
@@ -213,8 +219,8 @@ def _compute_bounds(inst: Instance, lam: int | None, extra: dict) -> tuple[dict,
 
 def _walk(field: FieldSpec, instances: list[tuple[int, int | None, int | None]],
           op: str, specs: list[tuple[str, SetSpec]], extra: dict,
-          with_timing: bool) -> Iterator[tuple[dict, bool]]:
-    """(record, ok) for each (seed, index, lam) instance, in order.
+          with_timing: bool) -> Iterator[tuple[dict, list[str]]]:
+    """(record, failed checks) for each (seed, index, lam) instance, in order.
 
     A run of instances with one seed shares one Instance: one realisation
     of its sets and every piece built from them, so across its lams only
@@ -227,7 +233,7 @@ def _walk(field: FieldSpec, instances: list[tuple[int, int | None, int | None]],
             inst = Instance(field, {name: realize(field, spec, derive_seed(seed, slot))
                                     for slot, (name, spec) in enumerate(specs)})
         start = time.perf_counter()
-        results, ok = _compute(op, inst, lam, extra)
+        results, failed = _compute(op, inst, lam, extra)
         elapsed = time.perf_counter() - start
         record: dict = {"op": op}
         if index is not None:
@@ -241,10 +247,10 @@ def _walk(field: FieldSpec, instances: list[tuple[int, int | None, int | None]],
         record.update(results)
         if with_timing:
             record["elapsed_us"] = int(elapsed * 1e6)
-        yield record, ok
+        yield record, failed
 
 
-def _run_chunk(task: tuple) -> tuple[list[tuple[dict, bool]], FfbError | None]:
+def _run_chunk(task: tuple) -> tuple[list[tuple[dict, list[str]]], FfbError | None]:
     """One pool task: a contiguous run of instances on a field rebuilt from
     the validated parameters, so no table crosses a process boundary.
 
@@ -252,7 +258,7 @@ def _run_chunk(task: tuple) -> tuple[list[tuple[dict, bool]], FfbError | None]:
     that failure (None when every instance ran).
     """
     field_params, instances, walk_args = task
-    done: list[tuple[dict, bool]] = []
+    done: list[tuple[dict, list[str]]] = []
     try:
         for outcome in _walk(make_field(**field_params), instances, *walk_args):
             done.append(outcome)
@@ -261,7 +267,7 @@ def _run_chunk(task: tuple) -> tuple[list[tuple[dict, bool]], FfbError | None]:
     return done, None
 
 
-def _until_failure(chunks) -> Iterator[tuple[dict, bool]]:
+def _until_failure(chunks) -> Iterator[tuple[dict, list[str]]]:
     """The outcomes of the pool tasks in order, raising the first failure
     once every outcome before it is out."""
     for done, error in chunks:
@@ -283,22 +289,27 @@ def _flatten(record: dict, prefix: str = "") -> dict:
     return flat
 
 
-def _emit(fmt: str, outcomes: Iterator[tuple[dict, bool]]) -> int:
+def _emit(fmt: str, outcomes: Iterator[tuple[dict, list[str]]]) -> int:
     """Write each record as a JSON line or a CSV row under one header, as
-    it comes; the exit code is 0 when every outcome was healthy, else 1."""
+    it comes, and for an unhealthy one a stderr line naming its failed
+    checks; the exit code is 0 when every outcome was healthy, else 1."""
     writer, all_ok = None, True
-    for record, ok in outcomes:
-        all_ok = all_ok and ok
+    for record, failed in outcomes:
         if fmt == "json":
             sys.stdout.write(json.dumps(record) + "\n")
-            continue
-        flat = _flatten(record)
-        if writer is None:
-            import csv
+        else:
+            flat = _flatten(record)
+            if writer is None:
+                import csv
 
-            writer = csv.DictWriter(sys.stdout, fieldnames=list(flat))
-            writer.writeheader()
-        writer.writerow(flat)
+                writer = csv.DictWriter(sys.stdout, fieldnames=list(flat))
+                writer.writeheader()
+            writer.writerow(flat)
+        if failed:
+            all_ok = False
+            at = [f"{key} {record[key]}" for key in ("index", "lambda") if key in record]
+            print(f"ffb: check failed: {', '.join(failed)}"
+                  + (f" ({', '.join(at)})" if at else ""), file=sys.stderr)
     return 0 if all_ok else 1
 
 

@@ -14,8 +14,9 @@ separately by closed-form combinatorics and re-added at the end.
 Each identity is written once, on its pieces: representation functions
 and character tables, which ffb.instance.Instance builds once per
 instance.  The target lam enters a bilinear count in one place, the shift
-s[y] = r_AB[y + lam] (repfn.shift_repfn), which both routes take.
-count_bilinear builds the exact route's pieces afresh from the sets.
+s[y] = r_AB[y + lam] (repfn.shift_repfn), which both routes take, as
+they take -C: the exact route through r_{(-C)D}, the character route
+through S_{-C}.  count_bilinear builds the exact route's pieces afresh from the sets.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .repfn import (
     RepFn,
     additive_convolve,
     entry_bound,
-    negate_repfn,
     negate_subset,
     rep_product,
     rep_sum,
@@ -46,14 +46,14 @@ def count_bilinear(field: FieldSpec, a: FqSubset, b: FqSubset, c: FqSubset,
     """#{(a,b,c,d) in A x B x C x D : a*b + c*d = lam}, exact: the pieces of
     Instance.bilinear, built afresh."""
     return additive_count(shift_repfn(field, rep_product(field, a, b), lam),
-                          negate_repfn(field, rep_product(field, c, d)))
+                          rep_product(field, negate_subset(field, c), d))
 
 
 def additive_count(r: RepFn, rho: RepFn) -> int:
     """The inner product of two representation functions, exact: the count of
     a + b = c*d from r_{A+B} and r_CD, and of a*b + c*d = lam from r_AB
-    shifted by lam and r_CD negated (the pairs with a*b - lam = y number
-    r_AB[y + lam], those with c*d = -y number r_CD[-y]).
+    shifted by lam and r_{(-C)D} (the pairs with a*b - lam = y number
+    r_AB[y + lam], those with (-c)*d = y number r_{(-C)D}[y]).
 
     Raises IntegerOverflow unless entry_bound(r, rho) < 2^63, so np.dot cannot wrap."""
     bound = entry_bound(r, rho)

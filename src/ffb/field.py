@@ -29,7 +29,6 @@ built on the tables.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +37,6 @@ from .errors import BadParam, DivideByZero, NotPrime, Overflow, Reducible
 
 # Default cap on q. Keeps every table and transform at desk scale.
 DESK_CAP = 1 << 20
-MAX_Q_ENV = "FFB_MAX_Q"
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,18 +62,7 @@ class FieldSpec:
 # ----------------------------------------------------------------------
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -223,18 +210,6 @@ _EXP_BLOCK_DIGITS = 1 << 13
 _GEN_BATCH_ENTRIES = 1 << 15
 
 
-def _q_cap(max_q: int | None) -> int:
-    if max_q is not None:
-        return max_q
-    env = os.environ.get(MAX_Q_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise BadParam(f"{MAX_Q_ENV} must be an integer, got {env!r}") from exc
-    return DESK_CAP
-
-
 def _raw_pow(x: int, e: int, p: int, k: int, modulus: tuple[int, ...]) -> int:
     """x^e for e >= 1 by square-and-multiply on honest arithmetic (no tables)."""
     if k == 1:
@@ -359,7 +334,7 @@ def make_field(p: int, k: int = 1, modulus=None, max_q: int | None = None) -> Fi
 
     Raises NotPrime for composite p, Reducible for a modulus that factors,
     Overflow when p^k exceeds the cap (default 2^20, overridable via the
-    max_q argument or the FFB_MAX_Q environment variable) or when
+    max_q argument) or when
     k * (p - 1)^2 > 2^53 - p, past which the float64 matrix steps could round.
     """
     if not isinstance(p, int) or not isinstance(k, int):
@@ -369,7 +344,7 @@ def make_field(p: int, k: int = 1, modulus=None, max_q: int | None = None) -> Fi
     if not _is_prime(p):
         raise NotPrime(f"p = {p} is not prime")
     q = p ** k
-    cap = _q_cap(max_q)
+    cap = DESK_CAP if max_q is None else max_q
     if q > cap:
         raise Overflow(f"q = {q} exceeds the cap {cap}")
 
@@ -398,15 +373,6 @@ def make_field(p: int, k: int = 1, modulus=None, max_q: int | None = None) -> Fi
     dlog.flags.writeable = False
     exp.flags.writeable = False
     return FieldSpec(p=p, k=k, q=q, modulus=mod, generator=gen, dlog=dlog, exp=exp)
-
-
-def find_generator(field: FieldSpec) -> int:
-    """Least code of multiplicative order q - 1, found from scratch.
-
-    Runs the same order test as construction (g^((q-1)/ell) != 1 for each
-    prime ell dividing q - 1) so it does not depend on the dlog table.
-    """
-    return _search_generator(field.p, field.k, field.q, field.modulus)
 
 
 # ----------------------------------------------------------------------

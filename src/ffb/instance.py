@@ -30,7 +30,8 @@ class Instance:
     A set name is a key of sets, or a name derived from keys: "-x" is -X,
     and "x+y" and "x*y" are the sumset and the productset, the supports of
     sum(x, y) and product(x, y).  Methods that take set names accept
-    derived names too.
+    derived names too.  "--x" is read as x, and so is "-x" in
+    characteristic 2, where -X = X: such names share X and its pieces.
     """
 
     def __init__(self, field: FieldSpec, sets: dict[str, FqSubset]):
@@ -55,8 +56,15 @@ class Instance:
     # pieces
     # ------------------------------------------------------------------
 
+    def _name(self, name: str) -> str:
+        """name without a leading "--", or any leading "-" when p = 2."""
+        while name.startswith("--"):
+            name = name[2:]
+        return name.lstrip("-") if self.field.p == 2 else name
+
     def subset(self, name: str) -> FqSubset:
         """The named set, built on first use when the name is derived."""
+        name = self._name(name)
         if name in self.sets:
             return self.sets[name]
         field = self.field
@@ -70,11 +78,13 @@ class Instance:
 
     def product(self, x: str, y: str) -> RepFn:
         """r_XY = rep_product of the named sets."""
+        x, y = self._name(x), self._name(y)
         return self._once(("*", x, y), lambda: repfn.rep_product(
             self.field, self.subset(x), self.subset(y)))
 
     def sum(self, x: str, y: str) -> RepFn:
         """r_{X+Y} = rep_sum of the named sets."""
+        x, y = self._name(x), self._name(y)
         return self._once(("+", x, y), lambda: repfn.rep_sum(
             self.field, self.subset(x), self.subset(y)))
 
@@ -88,11 +98,6 @@ class Instance:
         """r_XY shifted by lam, s[z] = r_XY[z + lam] (repfn.shift_repfn)."""
         return self._once_at(("s", x, y), lam, lambda: repfn.shift_repfn(
             self.field, self.product(x, y), lam))
-
-    def negated(self, x: str, y: str) -> RepFn:
-        """r_XY negated, z -> r_XY[-z] (repfn.negate_repfn); no lam changes it."""
-        return self._once(("-*", x, y), lambda: repfn.negate_repfn(
-            self.field, self.product(x, y)))
 
     def product_table(self, x: str, y: str, lam: int) -> CharSumTable:
         """repfn_char_sums of shifted(x, y, lam): the table T_lam of W and of
@@ -127,9 +132,10 @@ class Instance:
 
     def bilinear(self, a: str, b: str, c: str, d: str, lam: int) -> int:
         """#{a*b + c*d = lam} over the named sets, exact: additive_count of
-        shifted(a, b, lam) against negated(c, d)."""
+        shifted(a, b, lam) against product("-" + c, d), on the s_lam, -C and
+        D of the character route."""
         return self._once_at(("n", a, b, c, d), lam, lambda: counters.additive_count(
-            self.shifted(a, b, lam), self.negated(c, d)))
+            self.shifted(a, b, lam), self.product("-" + c, d)))
 
     def bilinear_charform(self, a: str, b: str, c: str, d: str,
                           lam: int) -> tuple[int, float, float]:

@@ -148,20 +148,13 @@ def negate_subset(field: FieldSpec, s: FqSubset) -> FqSubset:
     return FqSubset.from_mask(mask)
 
 
-def _permuted(r: RepFn, perm: np.ndarray) -> RepFn:
-    counts = r.counts[perm]
-    counts.flags.writeable = False
-    return RepFn(counts=counts)
-
-
 def shift_repfn(field: FieldSpec, r: RepFn, lam: int) -> RepFn:
     """s[y] = r[y + lam]: r translated so that lam sits at zero."""
-    return _permuted(r, add_codes(field, lam, np.arange(field.q))) if lam else r
-
-
-def negate_repfn(field: FieldSpec, r: RepFn) -> RepFn:
-    """r[-y] for every y."""
-    return _permuted(r, neg_codes(field, np.arange(field.q)))
+    if not lam:
+        return r
+    counts = r.counts[add_codes(field, lam, np.arange(field.q))]
+    counts.flags.writeable = False
+    return RepFn(counts=counts)
 
 
 def inverse_subset(field: FieldSpec, s: FqSubset) -> FqSubset:

@@ -15,7 +15,7 @@ from . import bounds, counters, setsgen, sumprod
 from .characters import char_eval
 from .field import FieldSpec, field_add, field_mul, field_neg, make_field
 from .instance import Instance
-from .repfn import FqSubset, full_subset, subset_from_codes
+from .repfn import FqSubset, full_subset
 from .setsgen import SetSpec, derive_seed, stream_value
 
 # (p, k) per grid order q = 3, 5, 7, 9, 11, 13, 16
@@ -57,7 +57,7 @@ OpTables = tuple[np.ndarray, np.ndarray, np.ndarray]
 def op_tables(field: FieldSpec) -> OpTables:
     """(mul, add, neg) tables over all codes, built by scalar arithmetic.
 
-    The brute_* oracles take them as an argument; a caller builds them once
+    brute_histogram takes them as an argument; a caller builds them once
     per field."""
     q = field.q
     mul = np.empty((q, q), dtype=np.int64)
@@ -71,54 +71,16 @@ def op_tables(field: FieldSpec) -> OpTables:
     return mul, add, neg
 
 
-def brute_additive(tables: OpTables, a: FqSubset, b: FqSubset, c: FqSubset,
-                   d: FqSubset) -> int:
-    """a + b = c*d by full tuple enumeration."""
+def brute_histogram(tables: OpTables, terms: list[tuple]) -> np.ndarray:
+    """Histogram over lam of sum of x_i*y_i over the terms (x_i, y_i), pairs of
+    code arrays, by full tuple enumeration: (x, [1]) is a plain summand x,
+    and neg[x] of the tables stands for -x.  A few terms at q <= 13 keep it
+    small."""
     mul, add, _ = tables
-    sums = add[np.ix_(a.codes(), b.codes())].ravel()
-    prods = mul[np.ix_(c.codes(), d.codes())].ravel()
-    if len(sums) == 0 or len(prods) == 0:
-        return 0
-    return int((sums[:, None] == prods[None, :]).sum())
-
-
-def brute_general_all(tables: OpTables, pairs: list[tuple[FqSubset, FqSubset]]) -> np.ndarray:
-    """Histogram over lam of sum of a_i*b_i over the pairs (a_i, b_i), by full
-    tuple enumeration; n <= 3 pairs at q <= 13 keep it small."""
-    mul, add, _ = tables
-    q = len(mul)
-    vals_per_pair = [mul[np.ix_(x.codes(), y.codes())].ravel() for x, y in pairs]
-    if any(len(v) == 0 for v in vals_per_pair):
-        return np.zeros(q, dtype=np.int64)
-    acc = vals_per_pair[0]
-    for v in vals_per_pair[1:]:
-        acc = add[acc[:, None], v[None, :]].ravel()
-    return np.bincount(acc, minlength=q).astype(np.int64)
-
-
-def brute_exceptional_mask(tables: OpTables, f: FqSubset, g: FqSubset,
-                           h: FqSubset) -> np.ndarray:
-    """Boolean mask of lam with no solution of f + g*h = lam, enumerated."""
-    mul, add, _ = tables
-    q = len(mul)
-    attained = np.zeros(q, dtype=bool)
-    prods = mul[np.ix_(g.codes(), h.codes())].ravel()
-    if len(prods) and f.size:
-        attained[add[np.ix_(f.codes(), prods)].ravel()] = True
-    return ~attained
-
-
-def brute_det2_all(tables: OpTables, a: FqSubset, b: FqSubset, c: FqSubset,
-                   d: FqSubset) -> np.ndarray:
-    """Histogram over lam of a*d - b*c by full tuple enumeration."""
-    mul, add, neg = tables
-    q = len(mul)
-    ad = mul[np.ix_(a.codes(), d.codes())].ravel()
-    bc = mul[np.ix_(b.codes(), c.codes())].ravel()
-    if len(ad) == 0 or len(bc) == 0:
-        return np.zeros(q, dtype=np.int64)
-    vals = add[ad[:, None], neg[bc][None, :]].ravel()
-    return np.bincount(vals, minlength=q).astype(np.int64)
+    sums = np.zeros(1, dtype=np.int64)
+    for x, y in terms:
+        sums = add[sums[:, None], mul[np.ix_(x, y)].ravel()[None, :]].ravel()
+    return np.bincount(sums, minlength=len(mul)).astype(np.int64)
 
 
 # ----------------------------------------------------------------------
@@ -132,25 +94,29 @@ def criterion_oracle_equivalence(q_max: int = 13, tuples: int = GRID_TUPLES,
     checked = 0
     for field in grid_fields(min(q_max, 11)):
         tables = op_tables(field)
+        neg = tables[2]
         for idx in range(tuples):
-            a, b, c, d = grid_tuple(field, idx, 4, base_seed)
-            inst = Instance(field, dict(zip(ABCD, (a, b, c, d))))
-            brute = brute_general_all(tables, [(a, b), (c, d)])
-            det_brute = brute_det2_all(tables, a, b, c, d)
+            sets = grid_tuple(field, idx, 4, base_seed)
+            inst = Instance(field, dict(zip(ABCD, sets)))
+            a, b, c, d = (s.codes() for s in sets)
+            brute = brute_histogram(tables, [(a, b), (c, d)])
+            det_brute = brute_histogram(tables, [(a, d), (neg[b], c)])
             for lam in range(field.q):
                 if inst.bilinear(*ABCD, lam) != int(brute[lam]):
                     return False, f"bilinear mismatch q={field.q} tuple={idx} lam={lam}"
                 if inst.bilinear("a", "d", "-b", "c", lam) != int(det_brute[lam]):
                     return False, f"determinant mismatch q={field.q} tuple={idx} lam={lam}"
                 checked += 2
-            if inst.additive(*ABCD) != brute_additive(tables, a, b, c, d):
+            # a + b = c*d is a + b + (-c)*d = 0, and a + b*c = lam unsolvable a zero
+            brute_t = brute_histogram(tables, [(a, [1]), (b, [1]), (neg[c], d)])[0]
+            if inst.additive(*ABCD) != brute_t:
                 return False, f"additive mismatch q={field.q} tuple={idx}"
-            exc = counters.exceptional_set(field, a, inst.product("b", "c"))
-            if not np.array_equal(exc.membership, brute_exceptional_mask(tables, a, b, c)):
+            e = counters.exceptional_set(field, sets[0], inst.product("b", "c"))
+            if not np.array_equal(e.membership, brute_histogram(tables, [(a, [1]), (b, c)]) == 0):
                 return False, f"exceptional_set mismatch q={field.q} tuple={idx}"
             checked += 2
             if field.q <= 7:
-                brute3 = brute_general_all(tables, [(a, b), (c, d), (a, c)])
+                brute3 = brute_histogram(tables, [(a, b), (c, d), (a, c)])
                 fold = inst.fold([("a", "b"), ("c", "d"), ("a", "c")]).counts
                 for lam in range(field.q):
                     if int(fold[lam]) != int(brute3[lam]):
@@ -201,7 +167,8 @@ def criterion_closed_forms(q_max: int = 13, base_seed: int = 0) -> tuple[bool, s
             return False, f"additive closed form fails q={q}: {t} != {q ** 3}"
         checked += 1
         if q == 5:
-            brute = brute_general_all(op_tables(field), [(full, full)] * 2)
+            codes = full.codes()
+            brute = brute_histogram(op_tables(field), [(codes, codes)] * 2)
             if int(brute[0]) != expected_zero or any(
                 int(brute[lam]) != expected_nonzero for lam in range(1, q)
             ):

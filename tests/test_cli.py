@@ -15,6 +15,7 @@ import pytest
 import ffb.bounds
 import ffb.cli
 import ffb.counters
+import ffb.repfn
 from ffb.bounds import compute_W, karatsuba_bound
 from ffb.characters import repfn_char_sums
 from ffb.cli import run
@@ -375,7 +376,7 @@ def test_count_builds_each_piece_once_for_every_lambda(capsys, monkeypatch, tmp_
 @pytest.mark.parametrize("p, q", [("13", 13), ("3 --k 2", 9)])
 def test_count_sweep_shifts_once_per_lambda(capsys, monkeypatch, tmp_path, p, q):
     # lam enters through one permutation of r_AB per lam, shared by both
-    # routes; r_CD is negated once per instance
+    # routes; -C is built once per instance
     calls = count_calls_everywhere(monkeypatch, ("add_codes", "neg_codes"), tmp_path / "log")
     argv = ["count", "--p", *p.split(), "--a", "random:5", "--b", "random:4",
             "--c", "random:6", "--d", "random:3", "--no-timing"]
@@ -386,6 +387,27 @@ def test_count_sweep_shifts_once_per_lambda(capsys, monkeypatch, tmp_path, p, q)
     code, _, _ = run_json(capsys, argv + ["--lambda", "1"])
     assert code == 0
     assert calls()["neg_codes"] == swept["neg_codes"] > 0
+
+
+def test_negation_is_a_set_name(capsys, monkeypatch, tmp_path):
+    # count negates C as a set, never r_CD as a length-q permutation; det2's
+    # --b and every -x in characteristic 2 name the set itself
+    sizes = []
+    neg_codes = ffb.repfn.neg_codes
+    monkeypatch.setattr(ffb.repfn, "neg_codes",
+                        lambda field, codes: sizes.append(len(codes)) or neg_codes(field, codes))
+    negations = count_calls(monkeypatch, ffb.repfn, ("negate_subset",), tmp_path / "log")
+    sets = ["--a", "random:5", "--b", "random:4", "--c", "random:6", "--d", "random:3"]
+    for p, q in (("13", 13), ("3 --k 2", 9)):
+        code, recs, _ = run_json(capsys, ["count", "--p", *p.split(), *sets, "--lambda", "all"])
+        assert code == 0 and all(rec["n"] == rec["n_charform"] for rec in recs)
+        assert sizes and q not in sizes
+        sizes.clear()
+    negations()
+    for argv in (["det2", "--p", "13"], ["count", "--p", "2", "--k", "6"]):
+        code, recs, _ = run_json(capsys, [*argv, *sets, "--lambda", "all"])
+        assert code == 0 and recs
+        assert negations() == {}
 
 
 def test_countn_guards_each_entry_not_the_mass(capsys):
@@ -492,6 +514,23 @@ def test_pooled_scan_writes_the_records_before_a_failure(capsys, monkeypatch):
     code, pooled, pooled_err = run_lines(capsys, argv + ["--jobs", "2"])
     assert code == 1
     assert (pooled, pooled_err) == (serial, serial_err)
+
+
+def test_unhealthy_record_names_its_failed_check(capsys, monkeypatch):
+    # stdout and the exit code as ever, and one stderr line per failing record
+    additive_count = ffb.counters.additive_count
+    monkeypatch.setattr(ffb.counters, "additive_count", lambda *args: additive_count(*args) + 1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+        concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+    code, recs, err = run_json(capsys, COUNT_ARGS + ["--no-timing"])
+    assert code == 1 and recs[0]["n"] == recs[0]["n_charform"] + 1
+    assert err == "ffb: check failed: n != n_charform (lambda 1)\n"
+    code, recs, err = run_json(capsys, SCAN_ARGS + ["--lambda", "all", "--seeds", "2",
+                                                    "--jobs", "2"])
+    assert code == 1 and len(recs) == 8
+    assert err.splitlines() == [
+        f"ffb: check failed: n != n_charform (index {rec['index']}, lambda {rec['lambda']})"
+        for rec in recs]
 
 
 def test_script_replay(tmp_path, capsys):

@@ -14,7 +14,7 @@ from ffb.counters import (
     verify_sarkozy_identity,
 )
 from ffb.errors import BadParam, IntegerOverflow, RoundingDrift
-from ffb.field import field_add, field_mul
+from ffb.field import field_add, field_mul, make_field
 from ffb.instance import Instance
 from ffb.repfn import (
     RepFn,
@@ -25,7 +25,7 @@ from ffb.repfn import (
     rep_sum,
     subset_from_codes,
 )
-from ffb.selfcheck import brute_exceptional_mask, grid_tuple, op_tables
+from ffb.selfcheck import brute_histogram, grid_tuple, op_tables
 from ffb.setsgen import SetSpec, derive_seed, realize, stream_value
 
 ABCD = ("a", "b", "c", "d")
@@ -167,7 +167,8 @@ def test_exceptional_set_matches_brute(f11):
     for idx in range(30):
         f, g, h = seeded_sets(f11, derive_seed(43, idx), 3)
         e = exceptional(f11, f, g, h)
-        assert np.array_equal(e.membership, brute_exceptional_mask(tables, f, g, h))
+        unsolvable = brute_histogram(tables, [(f.codes(), [1]), (g.codes(), h.codes())]) == 0
+        assert np.array_equal(e.membership, unsolvable)
 
 
 def test_sarkozy_identity_known_and_seeded(f5, f7, f11):
@@ -229,3 +230,16 @@ def test_rounding_drift_guard_fires_on_broken_transform(f7, monkeypatch):
         abcd(f7, a, b, c, d).bilinear_charform(*ABCD, 1)
     with pytest.raises(RoundingDrift):
         abcd(f7, a, b, c, d).additive_charform(*ABCD)
+
+
+@pytest.mark.parametrize("p, k", [(1048573, 1), (2, 20)])
+def test_full_set_closed_forms_at_the_cap(p, k):
+    # four full sets at the cap, where brute force cannot reach: count through
+    # Instance.bilinear and its r_{(-C)D}, and det2 (a*b - c*d = lam, slots
+    # renamed to share r_AB) through "--c", read as c
+    field = make_field(p, k)
+    q = field.q
+    inst = abcd(field, *[full_subset(field)] * 4)
+    for lam, want in ((0, (2 * q - 1) ** 2 + (q - 1) ** 3), (5, q ** 3 - q)):
+        assert inst.bilinear("a", "b", "c", "d", lam) == want
+        assert inst.bilinear("a", "b", "-c", "d", lam) == want

@@ -26,7 +26,6 @@ from ffb.field import (
     field_mul,
     field_neg,
     field_sub,
-    find_generator,
     make_field,
     mul_codes,
     neg_codes,
@@ -92,31 +91,18 @@ def test_bad_shape_parameters():
         make_field(5.0)  # type: ignore[arg-type]
 
 
-def test_q_cap_default_and_overrides(monkeypatch):
+def test_q_cap_default_and_overrides():
     with pytest.raises(Overflow):
         make_field(2, 21)  # 2^21 over the default cap
     with pytest.raises(Overflow):
         make_field(17, max_q=16)
     assert make_field(17, max_q=17).q == 17
+
+
+def test_q_cap_reads_no_environment(monkeypatch):
+    # the cap is max_q (--max-q) or the default, never process state
     monkeypatch.setenv("FFB_MAX_Q", "16")
-    with pytest.raises(Overflow):
-        make_field(17)
-    assert make_field(13).q == 13
-    monkeypatch.setenv("FFB_MAX_Q", "not-a-number")
-    with pytest.raises(BadParam):
-        make_field(13)
-
-
-def test_find_generator_known_fields(f2, f5, f7):
-    assert find_generator(f5) == 2
-    assert find_generator(f7) == 3
-    assert find_generator(f2) == 1
-
-
-def test_find_generator_matches_construction():
-    for p, k in SMALL_SHAPES:
-        f = make_field(p, k)
-        assert find_generator(f) == f.generator
+    assert make_field(17).q == 17
 
 
 def test_dlog_exp_round_trip():

@@ -24,7 +24,6 @@ from ffb.repfn import (
     empty_subset,
     full_subset,
     inverse_subset,
-    negate_repfn,
     negate_subset,
     rep_product,
     rep_sum,
@@ -239,8 +238,11 @@ def test_shift_and_negate_permute_the_counts(f7, f9, f16):
     for field in (f7, f9, f16):
         counts = np.array([stream_value(19, x) % 9 for x in range(field.q)], dtype=np.int64)
         r = RepFn(counts=counts)
-        assert negate_repfn(field, r).counts.tolist() == [
-            counts[field_neg(field, y)] for y in range(field.q)]
+        # negating a factor reads r_XY at -y: r_{(-X)Y}[y] = r_XY[-y]
+        inst = Instance(field, {"x": seeded_subset(field, 19), "y": seeded_subset(field, 20)})
+        r_xy = inst.product("x", "y").counts
+        assert inst.product("-x", "y").counts.tolist() == [
+            r_xy[field_neg(field, y)] for y in range(field.q)]
         for lam in range(field.q):
             assert shift_repfn(field, r, lam).counts.tolist() == [
                 counts[field_add(field, y, lam)] for y in range(field.q)]

@@ -117,3 +117,19 @@ def test_functions_write_no_module_state():
                     found.add(f"{path.name}:{node.lineno} "
                               f"{_root_name(node.func.value)}.{node.func.attr}()")
     assert not found, f"functions in src/ffb write module state: {sorted(found)}"
+
+
+def test_no_unused_imports():
+    # every name a module imports is used in it; __init__.py re-exports
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                          if (alias.asname or alias.name.split(".")[0]) not in used]
+    assert not found, f"unused imports in src/ffb: {found}"

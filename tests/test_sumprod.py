@@ -11,7 +11,7 @@ from ffb.errors import InvariantViolation, NotPrimeField
 from ffb.field import add_codes, field_inv, make_field, mul_codes
 from ffb.instance import Instance
 from ffb.repfn import empty_subset, full_subset, subset_from_codes
-from ffb.selfcheck import brute_det2_all, grid_tuple, op_tables
+from ffb.selfcheck import brute_histogram, grid_tuple, op_tables
 from ffb.setsgen import SetSpec, derive_seed, realize, stream_value
 from ffb.sumprod import garaev_inequality_report, garaev_solution_count
 
@@ -123,10 +123,12 @@ def test_determinant_count_full_field(f5):
 def test_determinant_count_matches_brute(shape):
     field = make_field(*shape)
     tables = op_tables(field)
+    neg = tables[2]
     for idx in range(50):
-        a, b, c, d = grid_tuple(field, idx, 4, base_seed=103)
-        brute = brute_det2_all(tables, a, b, c, d)
-        inst = Instance(field, dict(zip("abcd", (a, b, c, d))))
+        sets = grid_tuple(field, idx, 4, base_seed=103)
+        a, b, c, d = (s.codes() for s in sets)
+        brute = brute_histogram(tables, [(a, d), (neg[b], c)])
+        inst = Instance(field, dict(zip("abcd", sets)))
         for lam in range(field.q):
             assert inst.bilinear("a", "d", "-b", "c", lam) == int(brute[lam])
 
