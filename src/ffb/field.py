@@ -17,7 +17,8 @@ modulus.
 The generator is the least code c with c^((q-1)/ell) != 1 for every prime
 ell dividing q - 1: builtin pow for k = 1, and for k > 1 a batched
 square-and-multiply on the float64 k x k matrices of "multiply by c".
-The exp table is built by doubling, rows [n, 2n) of its digits being
+The exp table is built by doubling: for k = 1 entries [n, 2n) are entries
+[0, n) times g^n mod p in int64; for k > 1 rows [n, 2n) of its digits are
 rows [0, n) times the matrix of g^n, and then in blocks.  Every float
 product and reduction mod p in these steps is an exact integer operation.
 
@@ -301,8 +302,13 @@ def _search_generator(p: int, k: int, q: int, modulus: tuple[int, ...]) -> int:
 def _exp_table(p: int, k: int, gen: int, modulus: tuple[int, ...]) -> np.ndarray:
     """exp[t] = code of gen^t for t < q - 1, by doubling then in blocks.
 
-    The table holds the digits of gen^0 .. gen^(n-1) above the k rows of
-    M(gen^n).  One product with M(gen^n) turns both into the next table:
+    For k = 1 the doubling runs in place on int64 residues: with
+    exp[:n] = gen^0 .. gen^(n-1) and step = gen^n, exp[n:2n] = exp[:n] * step
+    mod p, and step becomes gen^2n.  Each product is at most (p - 1)^2 < 2^53
+    (make_field refuses larger p), so int64 holds it.
+
+    For k > 1 the table holds the digits of gen^0 .. gen^(n-1) above the k
+    rows of M(gen^n).  One product with M(gen^n) turns both into the next table:
     the powers into gen^n .. gen^(2n-1), and M(gen^n) into M(gen^2n).  Once
     the powers hold _EXP_BLOCK_DIGITS digits, each later block is the one
     before it times the last M(gen^n).  Every product and its reduction is
@@ -310,6 +316,16 @@ def _exp_table(p: int, k: int, gen: int, modulus: tuple[int, ...]) -> np.ndarray
     below q.
     """
     m = p ** k - 1
+    if k == 1:
+        exp = np.empty(m, dtype=np.int64)
+        exp[0] = 1
+        n, step = 1, gen
+        while n < m:
+            block = exp[n:2 * n]
+            np.multiply(exp[:len(block)], step, out=block)
+            np.remainder(block, p, out=block)
+            n, step = n + len(block), step * step % p
+        return exp
     place = float(p) ** np.arange(k)
     table = np.zeros((1 + k, k))
     table[0, 0] = 1

@@ -38,6 +38,8 @@ limbs with s = 53 - k.  No rounding occurs and no bound is needed: every
 value and partial sum is an integer of modulus at most 2^53, which float64
 holds exactly in any summation order.  Dividing the inverse by q inside the
 limb recombination is exact while s >= k, so q <= 2^26; larger q is refused.
+When sum(u) sum(v) reaches 2^63 the pointwise products could wrap, so one
+input is split into limbs whose products fit (_xor_convolve).
 """
 
 from __future__ import annotations
@@ -66,9 +68,12 @@ _HADAMARD_BITS = 6
 
 
 def exact_sum(x: np.ndarray) -> int:
-    """Sum of a nonnegative integer or bool array as a Python int; int64
-    entries are summed as 32-bit halves, since their int64 sum can wrap."""
-    if x.dtype.itemsize < 8:
+    """Sum of a nonnegative integer or bool array as a Python int.  A bool
+    array is counted; int64 entries whose length times maximum reaches 2^63
+    are summed as 32-bit halves, since their int64 sum could wrap."""
+    if x.dtype == np.bool_:
+        return int(np.count_nonzero(x))
+    if x.dtype.itemsize < 8 or x.size * int(x.max(initial=0)) < INT64_LIMIT:
         return int(x.sum(dtype=np.int64))
     return (int((x >> 32).sum()) << 32) + int((x & 0xFFFFFFFF).sum())
 
@@ -143,6 +148,9 @@ def complement_subset(field: FieldSpec, s: FqSubset) -> FqSubset:
 
 
 def negate_subset(field: FieldSpec, s: FqSubset) -> FqSubset:
+    """-S; S itself in characteristic 2, where -x = x."""
+    if field.p == 2:
+        return s
     mask = np.zeros(field.q, dtype=bool)
     mask[neg_codes(field, s.codes())] = True
     return FqSubset.from_mask(mask)
@@ -383,20 +391,50 @@ def _walsh_hadamard(x: np.ndarray, shift: int = 0) -> np.ndarray:
     return out
 
 
+def _xor_limb_width(x: np.ndarray, y_total: int) -> int:
+    """Widest s with (2^s - 1) nnz(x) y_total < 2^63: every base-2^s limb of x
+    then has sum(limb) y_total < 2^63 (0 when even s = 1 fails)."""
+    room = (INT64_LIMIT - 1) // (int(np.count_nonzero(x)) * y_total)
+    return (room + 1).bit_length() - 1
+
+
 def _xor_convolve(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """out[z] = sum over x of u[x] * v[x ^ z], exact for nonnegative int64 input
-    of length q = 2^k <= 2^26 whose mass product sum(u) * sum(v) is below 2^63.
+    of length q = 2^k <= 2^26 whose output entries are all below 2^63
+    (callers guard it; see additive_convolve).
 
-    Every transformed entry is at most that mass, so the pointwise product
-    fits in int64, and out = WHT(WHT(u) * WHT(v)) / q.  The division is
-    exact in _walsh_hadamard when its limb width 53 - k is at least k,
-    which sets the limit on q; larger q is refused before any allocation.
+    |WHT(x)| <= sum(x) entrywise, so while the mass sum(u) sum(v) is below
+    2^63 the pointwise product fits in int64, and out = WHT(WHT(u) *
+    WHT(v)) / q.  The division is exact in _walsh_hadamard when its limb
+    width 53 - k is at least k, which sets the limit on q; larger q is
+    refused before any allocation.  A larger mass splits one operand x into
+    base-2^s limbs and keeps the other, y, whole, with s from
+    _xor_limb_width so that each WHT(limb) * WHT(y) fits; the operand whose
+    split allows the wider s is split, the smaller total on a tie.  Each
+    limb's convolution with y is exact and nonnegative, and the limbs
+    recombine as out += that << (s i) in wrapping int64, which is exact
+    once every entry is below 2^63.  For q <= 2^21 one of the two splits
+    has s >= 1 whenever the entries are below 2^63; otherwise the
+    convolution is refused with IntegerOverflow.
     """
     k = u.size.bit_length() - 1
     if 2 * k > _FLOAT_EXACT_BITS:
         raise IntegerOverflow(
             f"q = 2^{k}: the exact Walsh-Hadamard convolution needs q <= 2^26")
-    return _walsh_hadamard(_walsh_hadamard(u) * _walsh_hadamard(v), shift=k)
+    su, sv = exact_sum(u), exact_sum(v)
+    if su * sv < INT64_LIMIT:
+        return _walsh_hadamard(_walsh_hadamard(u) * _walsh_hadamard(v), shift=k)
+    splits = [(_xor_limb_width(u, sv), u, v), (_xor_limb_width(v, su), v, u)]
+    width, x, y = max(splits if su <= sv else splits[::-1], key=lambda split: split[0])
+    if width < 1:
+        raise IntegerOverflow(f"no limb width keeps the Walsh-Hadamard products "
+                              f"of masses {su} and {sv} below 2^63")
+    hy = _walsh_hadamard(y)
+    out = np.zeros(u.size, dtype=np.int64)
+    for i in range(-(-int(x.max()).bit_length() // width)):
+        limb = (x >> (width * i)) & ((1 << width) - 1)
+        out += _walsh_hadamard(_walsh_hadamard(limb) * hy, shift=k) << (width * i)
+    return out
 
 
 def _add_convolve(field: FieldSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -450,22 +488,18 @@ def additive_convolve(field: FieldSpec, r1: RepFn, r2: RepFn) -> RepFn:
 
     Raises BadParam for a negative count, and IntegerOverflow, before any
     transform, unless every entry is proven below 2^63.  Every entry is at
-    most B = entry_bound(r1, r2), and over Z_q and odd p the guard is
-    B < 2^63: the translate loop adds nonnegative terms, so no partial sum
-    passes its entry, and the cyclic convolution recombines exact limb
-    weights as out += weight << (width w) in wrapping int64, ring arithmetic
-    mod 2^64 that yields the true entry once it is below 2^63.  Over F_{2^k}
-    the guard stays the mass sum(r1) sum(r2) < 2^63: the pointwise product
-    WHT(r1) * WHT(r2) reaches it in int64, and the inverse transform divides
-    by q, which does not commute with a wrap mod 2^64.
+    most B = entry_bound(r1, r2), and the guard is B < 2^63: the translate
+    loop adds nonnegative terms, so no partial sum passes its entry; the
+    cyclic convolution recombines exact limb weights, and the
+    Walsh-Hadamard one exact limb convolutions, as out += limb << shift in
+    wrapping int64, ring arithmetic mod 2^64 that yields the true entry once
+    it is below 2^63.
     """
     if min(r1.counts.min(), r2.counts.min()) < 0:
         raise BadParam("additive_convolve: counts must be nonnegative")
-    wht = field.p == 2 and field.k > 1
-    bound = r1.total() * r2.total() if wht else entry_bound(r1, r2)
+    bound = entry_bound(r1, r2)
     if bound >= INT64_LIMIT:
-        what = "mass" if wht else "entry bound"
-        raise IntegerOverflow(f"convolution {what} {bound} exceeds the exact int64 range")
+        raise IntegerOverflow(f"convolution entry bound {bound} exceeds the exact int64 range")
     out = _add_convolve(field, r1.counts, r2.counts)
     out.flags.writeable = False
     return RepFn(counts=out)

@@ -18,6 +18,7 @@ for grid instances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,11 +118,14 @@ def parse_setspec(text: str) -> SetSpec:
 def _stream_block(seed: int, start: int, count: int) -> np.ndarray:
     """stream_value(seed, c) for c in [start, start + count), as uint64;
     numpy uint64 arithmetic wraps mod 2^64 like the masks in _mix."""
-    counters = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = np.uint64(seed & _MASK) + counters * np.uint64(_PHI)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= np.uint64(_PHI)
+    z += np.uint64(seed & _MASK)
+    for shift, mul in ((30, _MIX1), (27, _MIX2)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(mul)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _draw_distinct(field: FieldSpec, m: int, seed: int) -> np.ndarray:
@@ -129,11 +133,16 @@ def _draw_distinct(field: FieldSpec, m: int, seed: int) -> np.ndarray:
     stream: values at or above the largest multiple of q below 2^64 are
     rejected, the rest taken mod q.
 
-    The stream is drawn in blocks of about twice the expected number of
-    draws still needed, at most 2^16 at a time.  Within a block, first[c]
-    is the position of the first draw of code c: reset to the block length
-    at the block's own codes, then lowered by one unbuffered minimum, so
-    each block costs time linear in its length whatever q is.
+    The stream is drawn in blocks of 1.25 times the expected number of
+    draws still needed, plus 64, at most 2^16 at a time: once j codes are
+    found the next new one takes q / (q - j) draws on average, so from f
+    found to m the expectation is about q ln((q - f) / (q - m)).  For m = q,
+    where that diverges, a block is 2 (m - f) q / (q - f) + 64.  Block
+    boundaries do not change which codes come first in stream order.
+    Within a block, first[c] is the position of the first draw of code c:
+    reset to the block length at the block's own codes, then lowered by one
+    unbuffered minimum, so each block costs time linear in its length
+    whatever q is.
     """
     q = field.q
     limit = ((1 << 64) // q) * q
@@ -142,7 +151,11 @@ def _draw_distinct(field: FieldSpec, m: int, seed: int) -> np.ndarray:
     parts = [np.zeros(0, dtype=np.int64)]
     found = counter = 0
     while found < m:
-        block = min(2 * (m - found) * q // (q - found) + 64, 1 << 16)
+        if m < q:
+            need = 1.25 * q * math.log((q - found) / (q - m))
+        else:
+            need = 2 * (m - found) * q / (q - found)
+        block = min(int(need) + 64, 1 << 16)
         values = _stream_block(seed, counter, block)
         counter += block
         if limit <= _MASK:
@@ -177,7 +190,10 @@ def realize(field: FieldSpec, spec: SetSpec, seed: int = 0) -> FqSubset:
         (m,) = spec.params
         if not (0 <= m <= field.q):
             raise BadParam(f"random: size {m} outside [0, {field.q}]")
-        return subset_from_codes(field, _draw_distinct(field, m, seed))
+        # drawn codes lie in [0, q) by construction: no range check
+        mask = np.zeros(field.q, dtype=bool)
+        mask[_draw_distinct(field, m, seed)] = True
+        return FqSubset.from_mask(mask)
     if spec.kind == "subgroup":
         (d,) = spec.params
         if d < 1 or (field.q - 1) % d != 0:

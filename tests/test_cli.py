@@ -389,6 +389,16 @@ def test_count_sweep_shifts_once_per_lambda(capsys, monkeypatch, tmp_path, p, q)
     assert calls()["neg_codes"] == swept["neg_codes"] > 0
 
 
+def test_characteristic_two_negates_nothing(capsys, monkeypatch, tmp_path):
+    # -X = X over F_{2^k}: the sum-product and exceptional counts take X itself
+    calls = count_calls_everywhere(monkeypatch, ("neg_codes",), tmp_path / "log")
+    for argv in (["sumprod", "--x", "random:10", "--y", "random:12"],
+                 ["exceptional", "--f", "random:4", "--g", "random:5", "--h", "random:4"]):
+        code, recs, _ = run_json(capsys, [*argv, "--p", "2", "--k", "6", "--no-timing"])
+        assert code == 0 and len(recs) == 1
+        assert calls()["neg_codes"] == 0
+
+
 def test_negation_is_a_set_name(capsys, monkeypatch, tmp_path):
     # count negates C as a set, never r_CD as a length-q permutation; det2's
     # --b and every -x in characteristic 2 name the set itself
@@ -425,11 +435,14 @@ def test_countn_guards_each_entry_not_the_mass(capsys):
         code, recs, _ = run_json(capsys, argv + third + ["--lambda", lam, "--no-timing"])
         assert code == 0
         assert recs[0]["n"] == want
-    # over F_{2^16} the Walsh-Hadamard product keeps the mass guard
-    code, _, err = run_json(capsys, ["countn", "--p", "2", "--k", "16"] + argv[3:]
-                            + ["--lambda", "5"])
-    assert code == 1
-    assert "hard failure: IntegerOverflow: convolution mass" in err
+    # over F_{2^16} the Walsh-Hadamard convolution splits one operand into
+    # limbs, so the same entry guard holds there
+    q = 1 << 16
+    for lam, want in (("5", (q - 2) * (q - 1) ** 2), ("0", (q - 1) ** 3)):
+        code, recs, _ = run_json(capsys, ["countn", "--p", "2", "--k", "16"] + argv[3:]
+                                 + ["--lambda", lam, "--no-timing"])
+        assert code == 0
+        assert recs[0]["n"] == want
 
 
 def test_sumprod_builds_sumset_and_productset_once(capsys, monkeypatch, tmp_path):

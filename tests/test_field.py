@@ -169,6 +169,27 @@ def test_blocked_exp_table_at_the_cap():
         assert field_mul(f, x, y) == f.exp[(f.dlog[x] + f.dlog[y]) % m]
 
 
+def test_prime_exp_table_at_the_cap():
+    # k = 1 tables come from int64 doubling, checked against builtin pow
+    f = make_field(1048573)
+    m = f.q - 1
+    assert np.array_equal(f.dlog[f.exp], np.arange(m))
+    assert f.dlog[0] == -1
+    for i in range(200):
+        t = stream_value(10, i) % m
+        assert f.exp[t] == pow(f.generator, t, f.p)
+
+
+def test_prime_exp_table_matches_iterated_product():
+    f = make_field(65521)
+    want = np.empty(f.q - 1, dtype=np.int64)
+    x = 1
+    for t in range(f.q - 1):
+        want[t] = x
+        x = x * f.generator % f.p
+    assert f.exp.tobytes() == want.tobytes()
+
+
 def test_exp_table_refuses_inexact_float_steps():
     # (p - 1)^2 >= 2^53: a block step could round in float64
     with pytest.raises(Overflow):

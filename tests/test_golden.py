@@ -65,6 +65,9 @@ COMMANDS = [
     "selftest --q-max 5 --tuples 2",
     f"count {F101} {ABCD} --lambda 101",
     f"countn {F101} --a random:3 --b random:3 --a random:3 --lambda 1",
+    "count --p 65521 --a random:300 --b random:300 --c random:300 --d random:300 --lambda 9",
+    "bounds --p 8191 --a random:1024 --b random:300 --c random:300 --d random:1024 "
+    "--lambda 7 --r-max 1",
 ]
 
 

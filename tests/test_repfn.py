@@ -19,6 +19,7 @@ from ffb.repfn import (
     _rfft_error_bound,
     _walsh_hadamard,
     _xor_convolve,
+    _xor_limb_width,
     additive_convolve,
     complement_subset,
     empty_subset,
@@ -184,6 +185,35 @@ def test_walsh_hadamard_convolution_is_exact_near_the_mass_limit(f16):
             assert out.counts.tolist() == brute
 
 
+def test_walsh_hadamard_convolution_splits_a_mass_past_2_to_63():
+    # r_AB of two full sets has total q^2, so the fold's mass is q^4 = 2^64;
+    # every entry is below q^3 and the split keeps each product in int64
+    field = make_field(2, 16)
+    q = field.q
+    inst = Instance(field, {name: full_subset(field) for name in ("a0", "b0", "a1", "b1")})
+    fold = inst.fold([("a0", "b0"), ("a1", "b1")])
+    assert fold.counts[5] == q ** 3 - q
+    assert fold.counts[0] == (2 * q - 1) ** 2 + (q - 1) ** 3
+    assert set(fold.counts[1:].tolist()) == {q ** 3 - q}
+    assert fold.total() == q ** 4
+
+
+def test_walsh_hadamard_split_takes_the_operand_that_certifies():
+    # an indicator cannot be split into smaller limbs, so a mass of 2^64
+    # against one splits the heavy point mass, in either argument order
+    heavy = np.zeros(256, dtype=np.int64)
+    heavy[3] = 1 << 56
+    ones = np.ones(256, dtype=np.int64)
+    assert _xor_convolve(heavy, ones).tolist() == [1 << 56] * 256
+    assert _xor_convolve(ones, heavy).tolist() == [1 << 56] * 256
+    assert _xor_limb_width(ones, 1 << 56) == 0
+    # above q = 2^21 entries below 2^63 no longer promise a split: uniform
+    # 2^19 over 2^22 entries has entries 2^60 but nnz * total = 2^63 both ways
+    flat = np.broadcast_to(np.int64(1 << 19), 1 << 22)
+    with pytest.raises(IntegerOverflow, match="no limb width"):
+        _xor_convolve(flat, flat)
+
+
 def test_inverse_subset(f7, f16):
     assert inverse_subset(f7, subset_from_codes(f7, [0, 2, 3, 6])).codes().tolist() == [4, 5, 6]
     for field in (f7, f16):
@@ -201,16 +231,12 @@ def test_additive_convolve_overflow_guard(f5):
 
 def test_additive_convolve_guards_each_entry_not_the_mass():
     # mass 2^64, every entry q * 2^40 < 2^53: exact over Z_q, where the
-    # limb recombination is exact below 2^63, refused over F_{2^12}, where
-    # WHT(r1) * WHT(r2) is formed pointwise in int64
+    # limb recombination is exact below 2^63, and over F_{2^12}, where one
+    # operand is split into limbs so that WHT(limb) * WHT(r) fits in int64
     for field in (make_field(4093), make_field(2, 12)):
         r = RepFn(counts=np.full(field.q, 1 << 20, dtype=np.int64))
         assert r.total() ** 2 >= 1 << 63
-        if field.p == 2:
-            with pytest.raises(IntegerOverflow, match="convolution mass"):
-                additive_convolve(field, r, r)
-        else:
-            assert additive_convolve(field, r, r).counts.tolist() == [field.q << 40] * field.q
+        assert additive_convolve(field, r, r).counts.tolist() == [field.q << 40] * field.q
     # entries near 2^62 whose int64 sum wraps to 0: against all-ones every
     # output entry is 2^64 and is refused; against a point mass at d the
     # output is the input translated by d, which the packed plan, misled by

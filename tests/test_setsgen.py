@@ -136,6 +136,11 @@ def test_vectorised_draw_matches_scalar_stream():
         for m in sorted({0, 1, 2, field.q // 4, field.q // 2, field.q - 1, field.q}):
             for seed in (0, derive_seed(7, field.q, m)):
                 assert _draw_distinct(field, m, seed).tolist() == scalar_draw(field, m, seed)
+    # the benchmark's field: small, typical and near-full sets
+    field = make_field(8191)
+    for m in (1, 300, 1024, field.q - 3):
+        for seed in (0, derive_seed(7, field.q, m)):
+            assert _draw_distinct(field, m, seed).tolist() == scalar_draw(field, m, seed)
 
 
 def test_subgroup_is_every_dth_power(f9, f16):
