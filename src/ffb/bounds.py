@@ -10,8 +10,8 @@ moment bound and the solvability threshold are report-style: they carry
 observed ratios and never reject on their own.
 
 Every check takes what it measures as pieces: W and V from their tables,
-the Cauchy and solvability checks from the character route's pieces, so
-one instance measures each once (ffb.instance.Instance).
+the Cauchy and solvability checks the split of an exact count
+(counters.main_and_error), so one instance measures each once.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import CharSumTable
-from .counters import count_bilinear_charform
 from .errors import InvariantViolation, LambdaZero, NoNontrivialCharacter
 from .field import FieldSpec
-from .repfn import FqSubset, RepFn
+from .repfn import FqSubset
 
 # Absolute slack for comparisons between float maxima.
 SLACK = 1e-9
@@ -121,7 +120,7 @@ def karatsuba_bound(field: FieldSpec, w: BoundReport, na: int, nb: int,
 def cauchy_error_check(field: FieldSpec, w: BoundReport, err: float, c: FqSubset,
                        d: FqSubset) -> BoundReport:
     """Assertable bound |err| <= W * sqrt(#C* * #D*) on the error term err of
-    the character route at lam, with w = compute_W at the same lam."""
+    the count at lam (counters.main_and_error), with w = compute_W at that lam."""
     bound = w.w_or_v * math.sqrt(c.star_size() * d.star_size())
     measured = abs(err)
     return BoundReport(
@@ -134,21 +133,19 @@ def cauchy_error_check(field: FieldSpec, w: BoundReport, err: float, c: FqSubset
     )
 
 
-def solvability_threshold_check(field: FieldSpec, s_ab: RepFn, t_ab: CharSumTable,
-                                neg_c: FqSubset, d: FqSubset, cd: np.ndarray, lam: int,
-                                n: int) -> BoundReport:
+def solvability_threshold_check(field: FieldSpec, main: float, err: float, n: int,
+                                na: int, nb: int, nc: int, nd: int, lam: int) -> BoundReport:
     """Sufficient condition main > sqrt(q * #A * #B * #C* * #D*) for n > 0.
 
-    Takes the pieces of count_bilinear_charform at lam and the exact count
-    n of a*b + c*d = lam.  When the condition fires the equation is
-    guaranteed solvable, which n confirms.  empirical_delta records log
-    base q of main/|err| as the observed exponent gap.  lam = 0 is refused
-    before the character route runs.
+    Takes main and err (counters.main_and_error) of the exact count n of
+    a*b + c*d = lam, na = #A, nb = #B, nc = #C* and nd = #D*.  When the
+    condition fires the equation is guaranteed solvable, which n confirms.
+    empirical_delta records log base q of main/|err| as the observed
+    exponent gap.  lam = 0 is refused.
     """
     if lam == 0:
         raise LambdaZero("solvability threshold is stated for nonzero targets")
-    _, main, err = count_bilinear_charform(field, s_ab, t_ab, neg_c, d, cd)
-    threshold = math.sqrt(field.q * s_ab.total() * neg_c.star_size() * d.star_size())
+    threshold = math.sqrt(field.q * na * nb * nc * nd)
     fires = main > threshold
     if fires and n == 0:
         raise InvariantViolation(

@@ -3,9 +3,9 @@
 Each counter exists in two independent routes: an exact integer route
 built on representation functions, and a character route that recovers
 the same integer from a full character-sum table.  The two must agree
-exactly; the character route additionally exposes its trivial-character
-main term and the residual error term, which is what the bound checks
-consume.
+exactly.  main_and_error splits an exact count into the trivial
+character's main term and the error term, which the bound checks consume;
+the character route returns that split of its own certified integer.
 
 Character identities here use the all-zero convention (no character sees
 the zero element), so tuples where a product vanishes are counted
@@ -62,35 +62,41 @@ def additive_count(r: RepFn, rho: RepFn) -> int:
     return int(np.dot(r.counts, rho.counts))
 
 
+def main_and_error(field: FieldSpec, s: RepFn, c: FqSubset, d: FqSubset,
+                   n: int) -> tuple[float, float]:
+    """(main, err) of the exact n = sum over y of s[y] * #{(x, z) in C x D : y = x*z}.
+
+    The s[0] * C.zero_product_pairs(D) tuples with x*z = 0 are left out;
+    of the rest, main = (sum(s) - s[0]) * #C* * #D* / (q - 1) is the trivial
+    character's share and err the nontrivial characters' share.
+    """
+    s_zero = int(s.counts[0])
+    main = (s.total() - s_zero) * c.star_size() * d.star_size() / (field.q - 1)
+    return main, (n - s_zero * c.zero_product_pairs(d)) - main
+
+
 def _charform(field: FieldSpec, s: RepFn, t: CharSumTable, c: FqSubset, d: FqSubset,
               cd: np.ndarray) -> tuple[int, float, float]:
-    """Character route for sum over y of s[y] * #{(x, z) in C x D : y = x*z}.
+    """Character route for n = sum over y of s[y] * #{(x, z) in C x D : y = x*z}:
+    (n, *main_and_error(field, s, c, d, n)).
 
-    Returns (n, main, err).  Pairs with x*z = 0 force y = 0 and are counted
-    exactly.  For the rest both sides are nonzero, which character
-    orthogonality detects:
+    Tuples with x*z = 0 are counted exactly; for the rest character
+    orthogonality gives, with T = repfn_char_sums(field, s) and
+    cd = conj(S_C) * conj(S_D),
 
         n_nonzero = (1/(q-1)) * sum_j T(j) * conj(S_C(j)) * conj(S_D(j))
 
-    with T = repfn_char_sums(field, s) and cd = conj(S_C) * conj(S_D).
-    main is the trivial character's share of n_nonzero and
-    err = n_nonzero - main.  The pre-rounding residual must stay below
-    ROUND_TOL or RoundingDrift is raised.
+    whose residual from an integer must stay below ROUND_TOL or
+    RoundingDrift is raised.  The gate certifies n; main and err come from it.
     """
-    m = field.q - 1
-    total = np.dot(t.values, cd) / m
-    n_nonzero = float(total.real)
-
+    n_nonzero = float((np.dot(t.values, cd) / (field.q - 1)).real)
     residual = abs(n_nonzero - round(n_nonzero))
     if residual > ROUND_TOL:
         raise RoundingDrift(
             f"nonzero-branch count {n_nonzero!r} is {residual:.3e} from an integer"
         )
-
-    s_zero = int(s.counts[0])
-    n = int(round(n_nonzero)) + s_zero * c.zero_product_pairs(d)
-    main = (s.total() - s_zero) * c.star_size() * d.star_size() / m
-    return n, main, n_nonzero - main
+    n = int(round(n_nonzero)) + int(s.counts[0]) * c.zero_product_pairs(d)
+    return (n, *main_and_error(field, s, c, d, n))
 
 
 def count_bilinear_charform(field: FieldSpec, s_ab: RepFn, t_ab: CharSumTable,

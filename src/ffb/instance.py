@@ -2,13 +2,13 @@
 counters and bounds take, each computed at most once.
 
 The counters, bounds and sum-product counts write each identity once, on
-its pieces (representation functions, derived sets, character tables);
-an Instance builds those pieces lazily from the named sets, so every
-identity of one instance shares them.  The target lam enters through one
-piece, r_XY shifted by lam, which the exact count and the table of the
-character route and of W both take.  A piece that depends on lam is kept
-for one lam at a time: asking for it at another lam replaces it, so a
-sweep over every lam holds one of each and recomputes only those.
+its pieces (representation functions, derived sets, character tables),
+which an Instance builds lazily from the named sets.  The target lam
+enters through one piece, r_XY shifted by lam, taken by the exact count,
+the character route and W; the bound checks read main and err off the
+exact count (main_and_error), never off the character route.  A piece
+that depends on lam is kept for one lam at a time: asking for it at
+another lam replaces it, so a sweep holds one of each.
 """
 
 from __future__ import annotations
@@ -120,12 +120,6 @@ class Instance:
 
         return self._once(("conj", x, y), build)
 
-    def _charform_pieces(self, a: str, b: str, c: str, d: str, lam: int) -> tuple:
-        """The pieces of count_bilinear_charform for a*b + c*d = lam."""
-        neg_c = "-" + c
-        return (self.shifted(a, b, lam), self.product_table(a, b, lam), self.subset(neg_c),
-                self.subset(d), self.conj_pair(neg_c, d))
-
     # ------------------------------------------------------------------
     # identities on those pieces
     # ------------------------------------------------------------------
@@ -140,8 +134,16 @@ class Instance:
     def bilinear_charform(self, a: str, b: str, c: str, d: str,
                           lam: int) -> tuple[int, float, float]:
         """counters.count_bilinear_charform of a*b + c*d = lam: (n, main, err)."""
+        neg_c = "-" + c
         return counters.count_bilinear_charform(
-            self.field, *self._charform_pieces(a, b, c, d, lam))
+            self.field, self.shifted(a, b, lam), self.product_table(a, b, lam),
+            self.subset(neg_c), self.subset(d), self.conj_pair(neg_c, d))
+
+    def main_and_error(self, a: str, b: str, c: str, d: str, lam: int) -> tuple[float, float]:
+        """counters.main_and_error of the exact bilinear(a, b, c, d, lam): no table."""
+        return counters.main_and_error(
+            self.field, self.shifted(a, b, lam), self.subset("-" + c), self.subset(d),
+            self.bilinear(a, b, c, d, lam))
 
     def additive(self, a: str, b: str, c: str, d: str) -> int:
         """#{a + b = c*d} over the named sets, exact."""
@@ -164,14 +166,14 @@ class Instance:
             self.field, self.sum_table(a, b)))
 
     def cauchy(self, a: str, b: str, c: str, d: str, lam: int) -> BoundReport:
-        """bounds.cauchy_error_check of the character route at lam against
-        the W of the same table."""
-        _, _, err = self.bilinear_charform(a, b, c, d, lam)
+        """bounds.cauchy_error_check of the error term at lam against w(a, b, lam)."""
+        _, err = self.main_and_error(a, b, c, d, lam)
         return bounds.cauchy_error_check(self.field, self.w(a, b, lam), err,
                                          self.subset(c), self.subset(d))
 
     def solvability(self, a: str, b: str, c: str, d: str, lam: int) -> BoundReport:
         """bounds.solvability_threshold_check of a*b + c*d = lam."""
+        main, err = self.main_and_error(a, b, c, d, lam)
         return bounds.solvability_threshold_check(
-            self.field, *self._charform_pieces(a, b, c, d, lam), lam,
-            self.bilinear(a, b, c, d, lam))
+            self.field, main, err, self.bilinear(a, b, c, d, lam), self.subset(a).size,
+            self.subset(b).size, self.subset(c).star_size(), self.subset(d).star_size(), lam)

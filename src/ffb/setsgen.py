@@ -129,7 +129,7 @@ def _stream_block(seed: int, start: int, count: int) -> np.ndarray:
 
 
 def _draw_distinct(field: FieldSpec, m: int, seed: int) -> np.ndarray:
-    """The first m distinct codes, in stream order, of the unbiased counter
+    """The mask of the first m distinct codes of the unbiased counter
     stream: values at or above the largest multiple of q below 2^64 are
     rejected, the rest taken mod q.
 
@@ -148,7 +148,6 @@ def _draw_distinct(field: FieldSpec, m: int, seed: int) -> np.ndarray:
     limit = ((1 << 64) // q) * q
     taken = np.zeros(q, dtype=bool)
     first = np.empty(q, dtype=np.int64)
-    parts = [np.zeros(0, dtype=np.int64)]
     found = counter = 0
     while found < m:
         if m < q:
@@ -166,9 +165,8 @@ def _draw_distinct(field: FieldSpec, m: int, seed: int) -> np.ndarray:
         np.minimum.at(first, codes, position)
         fresh = codes[(first[codes] == position) & ~taken[codes]][: m - found]
         taken[fresh] = True
-        parts.append(fresh)
         found += fresh.size
-    return np.concatenate(parts)
+    return taken
 
 
 def realize(field: FieldSpec, spec: SetSpec, seed: int = 0) -> FqSubset:
@@ -190,10 +188,7 @@ def realize(field: FieldSpec, spec: SetSpec, seed: int = 0) -> FqSubset:
         (m,) = spec.params
         if not (0 <= m <= field.q):
             raise BadParam(f"random: size {m} outside [0, {field.q}]")
-        # drawn codes lie in [0, q) by construction: no range check
-        mask = np.zeros(field.q, dtype=bool)
-        mask[_draw_distinct(field, m, seed)] = True
-        return FqSubset.from_mask(mask)
+        return FqSubset.from_mask(_draw_distinct(field, m, seed))
     if spec.kind == "subgroup":
         (d,) = spec.params
         if d < 1 or (field.q - 1) % d != 0:

@@ -1,9 +1,11 @@
 """Extremal sums W and V against their oracles and proven inequalities."""
 
 import math
+from collections import Counter
 
 import pytest
 
+import ffb.characters
 from ffb.bounds import karatsuba_bound, vinogradov_bound
 from ffb.characters import char_eval
 from ffb.counters import count_bilinear
@@ -205,3 +207,27 @@ def test_empirical_delta_reported(f7):
     rep = solvability(f7, star, star, star, star, 1)
     # full-set instance has zero error, so the gap is unbounded
     assert rep.empirical_delta == math.inf
+
+
+def test_cauchy_and_solvability_build_no_set_table(monkeypatch):
+    # main and err come from the exact count: solvability builds no character
+    # table, and the Cauchy check only the table of its W
+    calls = Counter()
+    for name in ("set_char_sums", "repfn_char_sums"):
+        def wrapper(*args, _name=name, _original=getattr(ffb.characters, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(ffb.characters, name, wrapper)
+    field = make_field(13)
+    sets = {name: realize(field, SetSpec("random", (6,)), derive_seed(5, slot))
+            for slot, name in enumerate(ABCD)}
+    Instance(field, sets).solvability(*ABCD, 4)
+    assert calls == {}
+    Instance(field, sets).cauchy(*ABCD, 4)
+    assert calls == {"repfn_char_sums": 1}
+    # the same split as the character route's
+    inst = Instance(field, sets)
+    n, main, err = inst.bilinear_charform(*ABCD, 4)
+    assert n == inst.bilinear(*ABCD, 4)
+    assert inst.main_and_error(*ABCD, 4) == pytest.approx((main, err), abs=TOL)

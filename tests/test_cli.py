@@ -5,6 +5,7 @@ import concurrent.futures
 import csv
 import functools
 import json
+import math
 import multiprocessing
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from ffb.characters import repfn_char_sums
 from ffb.cli import run
 from ffb.errors import RoundingDrift
 from ffb.field import make_field
+from ffb.instance import Instance
 from ffb.repfn import rep_product, shift_repfn
 from ffb.setsgen import derive_seed, parse_setspec, realize
 
@@ -443,6 +445,34 @@ def test_countn_guards_each_entry_not_the_mass(capsys):
                                  + ["--lambda", lam, "--no-timing"])
         assert code == 0
         assert recs[0]["n"] == want
+
+
+@pytest.mark.parametrize("op, shape, size", [("bounds", (2, 20), 262144),
+                                              ("solvability", (1048573, 1), 262143)],
+                         ids=["bounds-2^20", "solvability-1048573"])
+def test_error_term_is_exact_at_the_cap(capsys, op, shape, size):
+    # err = (n - s0 * zpp) - main from the exact n; the float character route
+    # printed a bounds cauchy.err off by tens and refused the solvability line
+    # with RoundingDrift
+    argv = [op, "--p", str(shape[0]), "--k", str(shape[1])]
+    argv += [arg for x in "abcd" for arg in (f"--{x}", f"random:{size}")]
+    code, (rec,), _ = run_json(capsys, argv + ["--lambda", "5", "--no-timing"])
+    assert code == 0
+    field = make_field(*shape)
+    sets = {x: realize(field, parse_setspec(f"random:{size}"), derive_seed(0, slot))
+            for slot, x in enumerate("abcd")}
+    inst = Instance(field, sets)
+    n, s0 = inst.bilinear(*"abcd", 5), int(inst.product("a", "b").counts[5])
+    c, d = sets["c"], sets["d"]
+    zc, zd = bool(c.membership[0]), bool(d.membership[0])
+    zpp = zc * d.size + zd * c.size - (zc and zd)
+    main = (sets["a"].size * sets["b"].size - s0) * (c.size - zc) * (d.size - zd) / (field.q - 1)
+    err = (n - s0 * zpp) - main
+    if op == "bounds":
+        assert rec["cauchy"]["err"] == abs(err) == 29885583.5
+    else:
+        assert (rec["n"], rec["main"]) == (n, main)
+        assert rec["empirical_delta"] == math.log(main / abs(err)) / math.log(field.q)
 
 
 def test_sumprod_builds_sumset_and_productset_once(capsys, monkeypatch, tmp_path):

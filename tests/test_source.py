@@ -1,6 +1,9 @@
 """Source-level rules for the package itself."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
 import ffb
@@ -133,3 +136,21 @@ def test_no_unused_imports():
                 found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
                           if (alias.asname or alias.name.split(".")[0]) not in used]
     assert not found, f"unused imports in src/ffb: {found}"
+
+
+def test_traced_layers_are_public_functions():
+    # perfbench's tracer refuses to start unless each name in layers.NAMED is
+    # a public function defined in its ffb module, so a merge or rename that
+    # drops one breaks traced benchmark runs
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    missing = []
+    for name in layers.NAMED:
+        module, _, attr = name.rpartition(".")
+        obj = getattr(importlib.import_module(f"ffb.{module}"), attr, None)
+        if (attr.startswith("_") or not inspect.isfunction(obj)
+                or obj.__module__ != f"ffb.{module}"):
+            missing.append(name)
+    assert layers.NAMED and not missing, f"traced layers with no public function: {missing}"
