@@ -12,9 +12,10 @@ A full table over all q-1 characters is one discrete Fourier transform of
 length M = q-1 of the summed weights laid out in dlog order.  The weights
 are real, so one real FFT (numpy's rfft) gives half of the table and the
 other half is its exact complex-conjugate mirror.  The tables are floats;
-callers that need integers (the character-route counters) check the
-rounding residual of their final reduction, which is where float64
-precision runs out first.
+the character-route counters take integers from them only through
+counters.pair_kernel, which sums two set tables over every character back
+into pair counts of at most min(#X*, #Y*) and checks each entry's rounding
+residual.
 """
 
 from __future__ import annotations

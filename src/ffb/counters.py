@@ -2,10 +2,10 @@
 
 Each counter exists in two independent routes: an exact integer route
 built on representation functions, and a character route that recovers
-the same integer from a full character-sum table.  The two must agree
-exactly.  main_and_error splits an exact count into the trivial
-character's main term and the error term, which the bound checks consume;
-the character route returns that split of its own certified integer.
+the same integer from character-sum tables.  The two must agree exactly.
+main_and_error splits an exact count into the trivial character's main
+term and the error term, which the bound checks consume; the character
+route returns that split of its own certified integer.
 
 Character identities here use the all-zero convention (no character sees
 the zero element), so tuples where a product vanishes are counted
@@ -15,8 +15,11 @@ Each identity is written once, on its pieces: representation functions
 and character tables, which ffb.instance.Instance builds once per
 instance.  The target lam enters a bilinear count in one place, the shift
 s[y] = r_AB[y + lam] (repfn.shift_repfn), which both routes take, as
-they take -C: the exact route through r_{(-C)D}, the character route
-through S_{-C}.  count_bilinear builds the exact route's pieces afresh from the sets.
+they take -C.  The routes differ only in how the pair count over -C and D
+is formed: the exact route convolves the sets (r_{(-C)D}), the character
+route sums the tables S_{-C} and S_D over every character (pair_kernel).
+Neither depends on lam, and both end in the same exact dot with s.
+count_bilinear builds the exact route's pieces afresh from the sets.
 """
 
 from __future__ import annotations
@@ -56,6 +59,12 @@ def additive_count(r: RepFn, rho: RepFn) -> int:
     r_AB[y + lam], those with (-c)*d = y number r_{(-C)D}[y]).
 
     Raises IntegerOverflow unless entry_bound(r, rho) < 2^63, so np.dot cannot wrap."""
+    return _inner_product(r, rho)
+
+
+def _inner_product(r: RepFn, rho: RepFn) -> int:
+    """The guarded int64 dot of additive_count.  The character route calls
+    it directly: the two routes share this dot, not the exact route's count."""
     bound = entry_bound(r, rho)
     if bound >= INT64_LIMIT:
         raise IntegerOverflow(f"inner product bound {bound} exceeds the exact int64 range")
@@ -75,51 +84,66 @@ def main_and_error(field: FieldSpec, s: RepFn, c: FqSubset, d: FqSubset,
     return main, (n - s_zero * c.zero_product_pairs(d)) - main
 
 
-def _charform(field: FieldSpec, s: RepFn, t: CharSumTable, c: FqSubset, d: FqSubset,
-              cd: np.ndarray) -> tuple[int, float, float]:
+def pair_kernel(field: FieldSpec, s_x: CharSumTable, s_y: CharSumTable) -> RepFn:
+    """counts[y] = #{(x, z) in X x Y : x*z = y} for y != 0, and counts[0] = 0,
+    from the character tables S_X and S_Y alone: the character route's r*_XY.
+
+    Summing over the characters first, orthogonality gives at y = g^t
+
+        K(t) = (1/(q-1)) * sum_j conj(S_X(j)) * conj(S_Y(j)) * e(2*pi*i*j*t/(q-1))
+
+    one inverse real FFT of the half spectrum, since conj(S_X(j)) for
+    j <= (q-1)/2 is rfft of X's weights in dlog order.  Each entry is an
+    integer of at most min(#X*, #Y*); the largest residual from one must
+    stay below ROUND_TOL or RoundingDrift is raised.
+    """
+    m = field.q - 1
+    half = m // 2 + 1
+    k = np.fft.irfft(np.conj(s_x.values[:half]) * np.conj(s_y.values[:half]), n=m)
+    rounded = np.rint(k)
+    drift = np.abs(k - rounded)
+    t = int(drift.argmax())
+    if drift[t] > ROUND_TOL:
+        raise RoundingDrift(f"pair kernel entry {k[t]!r} at t = {t} is {drift[t]:.3e} "
+                            "from an integer")
+    counts = np.zeros(field.q, dtype=np.int64)
+    counts[field.exp] = rounded
+    counts.flags.writeable = False
+    return RepFn(counts=counts)
+
+
+def _charform(field: FieldSpec, s: RepFn, c: FqSubset, d: FqSubset,
+              k_cd: RepFn) -> tuple[int, float, float]:
     """Character route for n = sum over y of s[y] * #{(x, z) in C x D : y = x*z}:
     (n, *main_and_error(field, s, c, d, n)).
 
-    Tuples with x*z = 0 are counted exactly; for the rest character
-    orthogonality gives, with T = repfn_char_sums(field, s) and
-    cd = conj(S_C) * conj(S_D),
-
-        n_nonzero = (1/(q-1)) * sum_j T(j) * conj(S_C(j)) * conj(S_D(j))
-
-    whose residual from an integer must stay below ROUND_TOL or
-    RoundingDrift is raised.  The gate certifies n; main and err come from it.
+    Tuples with x*z = 0 are counted exactly; the rest are the exact dot of
+    s with k_cd = pair_kernel(field, S_C, S_D), as in additive_count, and
+    k_cd's gate certifies n; main and err come from it.
     """
-    n_nonzero = float((np.dot(t.values, cd) / (field.q - 1)).real)
-    residual = abs(n_nonzero - round(n_nonzero))
-    if residual > ROUND_TOL:
-        raise RoundingDrift(
-            f"nonzero-branch count {n_nonzero!r} is {residual:.3e} from an integer"
-        )
-    n = int(round(n_nonzero)) + int(s.counts[0]) * c.zero_product_pairs(d)
+    n = _inner_product(s, k_cd) + int(s.counts[0]) * c.zero_product_pairs(d)
     return (n, *main_and_error(field, s, c, d, n))
 
 
-def count_bilinear_charform(field: FieldSpec, s_ab: RepFn, t_ab: CharSumTable,
-                            neg_c: FqSubset, d: FqSubset,
-                            cd: np.ndarray) -> tuple[int, float, float]:
+def count_bilinear_charform(field: FieldSpec, s_ab: RepFn, neg_c: FqSubset, d: FqSubset,
+                            k_cd: RepFn) -> tuple[int, float, float]:
     """Character-route count of a*b + c*d = lam; returns (n, main, err).
 
     a*b + c*d = lam is the same event as a*b - lam = (-c)*d, so this is
     the character route on s_ab = r_AB shifted by lam against -C and D:
-    t_ab = repfn_char_sums(field, s_ab) and cd = conj(S_{-C}) * conj(S_D).
+    k_cd = pair_kernel(field, S_{-C}, S_D).
     """
-    return _charform(field, s_ab, t_ab, neg_c, d, cd)
+    return _charform(field, s_ab, neg_c, d, k_cd)
 
 
-def count_additive_charform(field: FieldSpec, r_sum: RepFn, t_sum: CharSumTable,
-                            c: FqSubset, d: FqSubset,
-                            cd: np.ndarray) -> tuple[int, float, float]:
+def count_additive_charform(field: FieldSpec, r_sum: RepFn, c: FqSubset, d: FqSubset,
+                            k_cd: RepFn) -> tuple[int, float, float]:
     """Character-route count of a + b = c*d; returns (t, main, err).
 
     The character route on r_{A+B} against C and D:
-    t_sum = repfn_char_sums(field, r_sum) and cd = conj(S_C) * conj(S_D).
+    k_cd = pair_kernel(field, S_C, S_D).
     """
-    return _charform(field, r_sum, t_sum, c, d, cd)
+    return _charform(field, r_sum, c, d, k_cd)
 
 
 def fold_products(field: FieldSpec, reps: list[RepFn]) -> RepFn:

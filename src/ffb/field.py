@@ -305,7 +305,9 @@ def _exp_table(p: int, k: int, gen: int, modulus: tuple[int, ...]) -> np.ndarray
     For k = 1 the doubling runs in place on int64 residues: with
     exp[:n] = gen^0 .. gen^(n-1) and step = gen^n, exp[n:2n] = exp[:n] * step
     mod p, and step becomes gen^2n.  Each product is at most (p - 1)^2 < 2^53
-    (make_field refuses larger p), so int64 holds it.
+    (make_field refuses larger p), so int64 holds it.  The reduction is
+    x - (x // p) * p: numpy divides by one scalar with a precomputed
+    multiply and shift, faster than its x % p.
 
     For k > 1 the table holds the digits of gen^0 .. gen^(n-1) above the k
     rows of M(gen^n).  One product with M(gen^n) turns both into the next table:
@@ -323,7 +325,7 @@ def _exp_table(p: int, k: int, gen: int, modulus: tuple[int, ...]) -> np.ndarray
         while n < m:
             block = exp[n:2 * n]
             np.multiply(exp[:len(block)], step, out=block)
-            np.remainder(block, p, out=block)
+            block -= block // p * p
             n, step = n + len(block), step * step % p
         return exp
     place = float(p) ** np.arange(k)

@@ -5,17 +5,17 @@ The counters, bounds and sum-product counts write each identity once, on
 its pieces (representation functions, derived sets, character tables),
 which an Instance builds lazily from the named sets.  The target lam
 enters through one piece, r_XY shifted by lam, taken by the exact count,
-the character route and W; the bound checks read main and err off the
-exact count (main_and_error), never off the character route.  A piece
-that depends on lam is kept for one lam at a time: asking for it at
-another lam replaces it, so a sweep holds one of each.
+the character route and W; the character route's other piece, the pair
+kernel, is built once and no lam changes it, so a count at another lam
+takes no transform.  The bound checks read main and err off the exact
+count (main_and_error), never off the character route.  A piece that
+depends on lam is kept for one lam at a time: asking for it at another
+lam replaces it, so a sweep holds one of each.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-
-import numpy as np
 
 from . import bounds, characters, counters, repfn
 from .bounds import BoundReport
@@ -100,25 +100,21 @@ class Instance:
             self.field, self.product(x, y), lam))
 
     def product_table(self, x: str, y: str, lam: int) -> CharSumTable:
-        """repfn_char_sums of shifted(x, y, lam): the table T_lam of W and of
-        the bilinear character route."""
+        """repfn_char_sums of shifted(x, y, lam): the table T_lam of W."""
         return self._once_at(("T*", x, y), lam, lambda: characters.repfn_char_sums(
             self.field, self.shifted(x, y, lam)))
 
     def sum_table(self, x: str, y: str) -> CharSumTable:
-        """repfn_char_sums of r_{X+Y}: the table of V and of the additive
-        character route."""
+        """repfn_char_sums of r_{X+Y}: the table of V."""
         return self._once(("T+", x, y), lambda: characters.repfn_char_sums(
             self.field, self.sum(x, y)))
 
-    def conj_pair(self, x: str, y: str) -> np.ndarray:
-        """conj(S_X) * conj(S_Y), the factor of the character route that no
-        shift changes."""
-        def build():
-            s_x, s_y = (characters.set_char_sums(self.field, self.subset(z)) for z in (x, y))
-            return np.conj(s_x.values) * np.conj(s_y.values)
-
-        return self._once(("conj", x, y), build)
+    def pair_kernel(self, x: str, y: str) -> RepFn:
+        """counters.pair_kernel of the named sets' character tables: the
+        character route's r*_XY, which no shift changes."""
+        x, y = self._name(x), self._name(y)
+        return self._once(("K", x, y), lambda: counters.pair_kernel(
+            self.field, *(characters.set_char_sums(self.field, self.subset(z)) for z in (x, y))))
 
     # ------------------------------------------------------------------
     # identities on those pieces
@@ -136,8 +132,8 @@ class Instance:
         """counters.count_bilinear_charform of a*b + c*d = lam: (n, main, err)."""
         neg_c = "-" + c
         return counters.count_bilinear_charform(
-            self.field, self.shifted(a, b, lam), self.product_table(a, b, lam),
-            self.subset(neg_c), self.subset(d), self.conj_pair(neg_c, d))
+            self.field, self.shifted(a, b, lam), self.subset(neg_c), self.subset(d),
+            self.pair_kernel(neg_c, d))
 
     def main_and_error(self, a: str, b: str, c: str, d: str, lam: int) -> tuple[float, float]:
         """counters.main_and_error of the exact bilinear(a, b, c, d, lam): no table."""
@@ -152,8 +148,7 @@ class Instance:
     def additive_charform(self, a: str, b: str, c: str, d: str) -> tuple[int, float, float]:
         """counters.count_additive_charform of a + b = c*d: (t, main, err)."""
         return counters.count_additive_charform(
-            self.field, self.sum(a, b), self.sum_table(a, b), self.subset(c),
-            self.subset(d), self.conj_pair(c, d))
+            self.field, self.sum(a, b), self.subset(c), self.subset(d), self.pair_kernel(c, d))
 
     def w(self, a: str, b: str, lam: int) -> BoundReport:
         """bounds.compute_W at lam, on product_table(a, b, lam)."""

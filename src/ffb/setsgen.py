@@ -159,7 +159,7 @@ def _draw_distinct(field: FieldSpec, m: int, seed: int) -> np.ndarray:
         counter += block
         if limit <= _MASK:
             values = values[values < np.uint64(limit)]
-        codes = (values % np.uint64(q)).astype(np.int64)
+        codes = (values - values // np.uint64(q) * np.uint64(q)).astype(np.int64)
         position = np.arange(codes.size)
         first[codes] = codes.size
         np.minimum.at(first, codes, position)

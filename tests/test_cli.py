@@ -475,6 +475,40 @@ def test_error_term_is_exact_at_the_cap(capsys, op, shape, size):
         assert rec["empirical_delta"] == math.log(main / abs(err)) / math.log(field.q)
 
 
+@pytest.mark.parametrize("op, shape, size, seed", [("count", (1048573, 1), 262000, 1),
+                                                    ("countT", (1048573, 1), 262000, 0),
+                                                    ("count", (2, 20), 16000, 0)],
+                         ids=["count-1048573", "countT-1048573", "count-2^20"])
+def test_charform_equals_the_exact_count_at_the_cap(capsys, op, shape, size, seed):
+    # the character route's only float step is the pair kernel, whose
+    # entries stay below 2^20, so its gate certifies counts near 2^52
+    argv = [op, "--p", str(shape[0]), "--k", str(shape[1]), "--seed", str(seed)]
+    argv += [arg for x in "abcd" for arg in (f"--{x}", f"random:{size}")]
+    argv += ["--lambda", "5"] if op == "count" else []
+    code, (rec,), err = run_json(capsys, argv + ["--no-timing"])
+    key = "n" if op == "count" else "t"
+    assert (code, err) == (0, "")
+    assert rec[key] == rec[f"{key}_charform"]
+
+
+def test_count_sweep_takes_no_transform_per_lambda(capsys, monkeypatch, tmp_path):
+    # the character route's lambda-free piece is the pair kernel of S_{-C}
+    # and S_D; no lambda builds a character table of s_lambda
+    names = ("set_char_sums", "repfn_char_sums")
+    calls = count_calls_everywhere(monkeypatch, names, tmp_path / "log")
+    sets = [arg for x in "abcd" for arg in (f"--{x}", "random:20")]
+    code, recs, _ = run_json(capsys, ["count", "--p", "101", *sets, "--lambda", "all",
+                                      "--no-timing"])
+    assert code == 0 and len(recs) == 100
+    assert all(rec["n"] == rec["n_charform"] for rec in recs)
+    assert calls() == {"set_char_sums": 2}
+    code, recs, _ = run_json(capsys, ["scan", "--op", "count", "--p", "101", *sets,
+                                      "--lambda", "all", "--seeds", "2", "--jobs", "1",
+                                      "--no-timing"])
+    assert code == 0 and len(recs) == 200
+    assert calls() == {"set_char_sums": 4}
+
+
 def test_sumprod_builds_sumset_and_productset_once(capsys, monkeypatch, tmp_path):
     calls = count_calls_everywhere(monkeypatch, ("rep_sum", "rep_product"), tmp_path / "log")
     code, recs, _ = run_json(capsys, ["sumprod", "--p", "13", "--x", "random:5",

@@ -84,6 +84,16 @@ def test_charform_matches_exact_count(f7):
             assert abs((main + err) - round(main + err)) < 1e-6
 
 
+def test_pair_kernel_is_the_product_off_zero(f7, f9, f16):
+    # the character route's pair counts are r_CD with the zero row left out
+    for field in (f7, f9, f16):
+        for idx in range(10):
+            c, d = seeded_sets(field, derive_seed(43, idx), 2)
+            inst = Instance(field, {"c": c, "d": d})
+            kernel, product = inst.pair_kernel("c", "d").counts, inst.product("c", "d").counts
+            assert kernel[0] == 0 and (kernel[1:] == product[1:]).all()
+
+
 def test_count_additive_known_values(f5):
     full = full_subset(f5)
     zero = subset_from_codes(f5, [0])
