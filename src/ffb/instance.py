@@ -8,7 +8,9 @@ enters through one piece, r_XY shifted by lam, taken by the exact count,
 the character route and W; the character route's other piece, the pair
 kernel, is built once and no lam changes it, so a count at another lam
 takes no transform.  The bound checks read main and err off the exact
-count (main_and_error), never off the character route.  A piece that
+count (main_and_error), never off the character route.  The exact count
+builds r_AB and r_{(-C)D} together, two products from one paired transform
+plan (repfn.rep_products), as fold does for its pairs.  A piece that
 depends on lam is kept for one lam at a time: asking for it at another
 lam replaces it, so a sweep holds one of each.
 """
@@ -76,6 +78,17 @@ class Instance:
                 return self._once(name, lambda: FqSubset.from_mask(rep(x, y).counts > 0))
         raise KeyError(f"no set named {name!r}")
 
+    def products(self, pairs: Sequence[tuple[str, str]]) -> list[RepFn]:
+        """product(x, y) for each named pair.  The ones not yet held are built
+        together by repfn.rep_products, once per memo key: "-x" is x when
+        p = 2, so such pairs build one product."""
+        keys = [("*", self._name(x), self._name(y)) for x, y in pairs]
+        todo = [key for key in dict.fromkeys(keys) if key not in self._memo]
+        if todo:
+            self._memo.update(zip(todo, repfn.rep_products(
+                self.field, [(self.subset(x), self.subset(y)) for _, x, y in todo])))
+        return [self._memo[key] for key in keys]
+
     def product(self, x: str, y: str) -> RepFn:
         """r_XY = rep_product of the named sets."""
         x, y = self._name(x), self._name(y)
@@ -92,7 +105,7 @@ class Instance:
         """counters.fold_products over product(x_i, y_i) for the named pairs."""
         pairs = tuple(pairs)
         return self._once(("fold", pairs), lambda: counters.fold_products(
-            self.field, [self.product(x, y) for x, y in pairs]))
+            self.field, self.products(pairs)))
 
     def shifted(self, x: str, y: str, lam: int) -> RepFn:
         """r_XY shifted by lam, s[z] = r_XY[z + lam] (repfn.shift_repfn)."""
@@ -123,9 +136,12 @@ class Instance:
     def bilinear(self, a: str, b: str, c: str, d: str, lam: int) -> int:
         """#{a*b + c*d = lam} over the named sets, exact: additive_count of
         shifted(a, b, lam) against product("-" + c, d), on the s_lam, -C and
-        D of the character route."""
-        return self._once_at(("n", a, b, c, d), lam, lambda: counters.additive_count(
-            self.shifted(a, b, lam), self.product("-" + c, d)))
+        D of the character route.  The two products are built together."""
+        def count() -> int:
+            _, r_cd = self.products([(a, b), ("-" + c, d)])
+            return counters.additive_count(self.shifted(a, b, lam), r_cd)
+
+        return self._once_at(("n", a, b, c, d), lam, count)
 
     def bilinear_charform(self, a: str, b: str, c: str, d: str,
                           lam: int) -> tuple[int, float, float]:
@@ -136,10 +152,11 @@ class Instance:
             self.pair_kernel(neg_c, d))
 
     def main_and_error(self, a: str, b: str, c: str, d: str, lam: int) -> tuple[float, float]:
-        """counters.main_and_error of the exact bilinear(a, b, c, d, lam): no table."""
+        """counters.main_and_error of the exact bilinear(a, b, c, d, lam): no
+        table.  n comes first, so that its two products are built together."""
+        n = self.bilinear(a, b, c, d, lam)
         return counters.main_and_error(
-            self.field, self.shifted(a, b, lam), self.subset("-" + c), self.subset(d),
-            self.bilinear(a, b, c, d, lam))
+            self.field, self.shifted(a, b, lam), self.subset("-" + c), self.subset(d), n)
 
     def additive(self, a: str, b: str, c: str, d: str) -> int:
         """#{a + b = c*d} over the named sets, exact."""

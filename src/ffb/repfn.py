@@ -14,7 +14,23 @@ Stability of Numerical Algorithms, ch. 24): every entry is off by less than
 e = 2^-53 and twiddle error b.  For numpy's pocketfft the bound is taken
 with n radix-2 levels, which its radix-4 passes do not exceed in roundings
 per element, and b = 2^-50, since its twiddles come from accurately reduced
-sin/cos tables.  Two plans are certified this way, in this order:
+sin/cos tables.  Three plans are certified this way.  rep_products takes
+the paired plan for two products at a time:
+
+- paired: u1*v1 and u2*v2 from w1 = u1 + 2^s u2 and w2 = v1 + 2^s v2,
+  rfft of w1, rfft of w2 in the same buffer, one pointwise product and
+  one irfft: three transforms for two products, where two packed plans
+  take four.  u1*v1 is read from the low s bits of w1*w2 and u2*v2 from
+  bit 2s upward (proof in _paired_convolve).  s makes digit 0 (u1*v1) and
+  digit 1 (u1*v2 + u2*v1) each below 2^s from exact entry bounds, and the
+  plan applies when 2s plus the bit length of u2*v2's bound is at most 52
+  and the bound with ||w1|| ||w2|| is below ROUND_BUDGET, both norms bounded
+  term by term from exact sums.  For four indicator vectors of one size
+  its bound is the packed plan's (9.0e-4 at q = 8191 with 1024-element
+  sets); where it does not certify (1.10 at q = 65521 with 16000-element
+  sets), each product falls back to the plans below.
+
+Each single convolution (_cyclic_convolve) takes, in this order:
 
 - packed: both inputs ride in one real vector w = u + 2^s v, and u*v is
   read from the middle digit of w*w (proof in _packed_convolve): one rfft,
@@ -269,6 +285,60 @@ def _packed_convolve(u: np.ndarray, v: np.ndarray, m: int, size: int) -> np.ndar
     return (lin[:m].astype(np.int64) >> (s + 1)) & ((1 << (s - 1)) - 1)
 
 
+def _paired_convolve(u1: np.ndarray, v1: np.ndarray, u2: np.ndarray, v2: np.ndarray,
+                     m: int, size: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The paired plan: u1 * v1 and u2 * v2 over Z_m from three transforms
+    (two rfft, one irfft), or None when the a-priori bound does not
+    certify it.
+
+    With c(x, y) = min(sx my, sy mx) (s a sum, m a maximum, as in
+    _packed_convolve), which bounds every entry of x*y and <x, y>, and
+    c(x, x) = sx mx >= ||x||^2, let s = bit_length(max(c(u1, v1),
+    c(u1, v2) + c(u2, v1))) >= 1.  The packed vectors w1 = u1 + 2^s u2 and
+    w2 = v1 + 2^s v2 have w1*w2 = X = u1*v1 + 2^s (u1*v2 + u2*v1) +
+    2^(2s) u2*v2, whose digits 0 and 1 in base 2^s are below 2^s entrywise,
+    cyclically folded or not, so u1*v1 = X & (2^s - 1) and
+    u2*v2 = X >> 2s.  With L = bit_length(c(u2, v2)) the plan needs
+    2s + L <= 52, which keeps X < 2^(2s + L) <= 2^52.
+
+    Percival's bound is taken with ||w1|| ||w2|| <= sqrt(n1 n2), where
+    n1 = c(u1, u1) + 2^(s+1) c(u1, u2) + 2^(2s) c(u2, u2) bounds ||w1||^2 =
+    ||u1||^2 + 2^(s+1) <u1, u2> + 2^(2s) ||u2||^2 term by term, and n2
+    likewise for w2; every sum is exact (exact_sum) and n1, n2 are Python
+    integers.  Under ROUND_BUDGET every computed entry is within 0.25 of X,
+    so rounding gives X, and so does the fold mod m, whose sums stay below
+    2^53.  The packed vectors are exact in float64: w2 = 0 makes every
+    product zero, and otherwise ||w2|| >= 1, so ||w1|| is below ROUND_BUDGET
+    over the bound's growth factor, below 2^50; likewise for w2.  Both
+    live in one zero-padded buffer, w2 written over w1 after its transform.
+    """
+    x1, x2, y1, y2 = ((exact_sum(x), int(x.max())) for x in (u1, u2, v1, v2))
+
+    def c(x: tuple[int, int], y: tuple[int, int]) -> int:
+        return min(x[0] * y[1], y[0] * x[1])
+
+    s = max(1, max(c(x1, y1), c(x1, y2) + c(x2, y1)).bit_length())
+    if 2 * s + c(x2, y2).bit_length() > _FLOAT_EXACT_BITS - 1:
+        return None
+    n1, n2 = (c(a, a) + (c(a, b) << (s + 1)) + (c(b, b) << (2 * s))
+              for a, b in ((x1, x2), (y1, y2)))
+    if _rfft_error_bound(math.sqrt(n1) * math.sqrt(n2), size) >= ROUND_BUDGET:
+        return None
+    buf = np.zeros(size)
+    w = buf[:m]
+    np.multiply(u2, 2.0 ** s, out=w)
+    w += u1
+    h = np.fft.rfft(buf)
+    np.multiply(v2, 2.0 ** s, out=w)
+    w += v1
+    h *= np.fft.rfft(buf)
+    lin = np.fft.irfft(h, size, out=buf)[: 2 * m - 1]
+    np.rint(lin, out=lin)
+    lin[: m - 1] += lin[m:]
+    x = lin[:m].astype(np.int64)
+    return x & ((1 << s) - 1), x >> (2 * s)
+
+
 def _limb_convolve(u: np.ndarray, v: np.ndarray, m: int, size: int) -> np.ndarray:
     """The limb plan of _cyclic_convolve, for inputs the packed plan does
     not certify.
@@ -303,6 +373,11 @@ def _limb_convolve(u: np.ndarray, v: np.ndarray, m: int, size: int) -> np.ndarra
     return out
 
 
+def _padded_size(m: int) -> int:
+    """The power of two >= 2m - 1 every plan over Z_m transforms at."""
+    return 1 << (2 * m - 2).bit_length()
+
+
 def _cyclic_convolve(u: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
     """out[z] = sum over x of u[x] * v[(z - x) mod m], as a new int64 array.
 
@@ -314,7 +389,7 @@ def _cyclic_convolve(u: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
     taken whenever its a-priori bound certifies it; otherwise the limb plan
     (one rfft per limb of each input, one irfft per output weight).
     """
-    size = 1 << (2 * m - 2).bit_length()
+    size = _padded_size(m)
     out = _packed_convolve(u, v, m, size)
     return out if out is not None else _limb_convolve(u, v, m, size)
 
@@ -458,18 +533,42 @@ def _add_convolve(field: FieldSpec, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _product_repfn(field: FieldSpec, a: FqSubset, b: FqSubset, nonzero: np.ndarray) -> RepFn:
+    """r_AB from its nonzero part in dlog order and the zero row's closed form."""
+    counts = np.zeros(field.q, dtype=np.int64)
+    counts[field.exp] = nonzero
+    counts[0] = a.zero_product_pairs(b)
+    counts.flags.writeable = False
+    return RepFn(counts=counts)
+
+
 def rep_product(field: FieldSpec, a: FqSubset, b: FqSubset) -> RepFn:
     """counts[z] = #{(x, y) in A x B : x * y = z}.
 
     The nonzero part is a cyclic convolution of dlog indicator vectors
     over Z_{q-1}; the zero row has a closed form.
     """
-    counts = np.zeros(field.q, dtype=np.int64)
-    counts[field.exp] = _cyclic_convolve(a.membership[field.exp], b.membership[field.exp],
-                                         field.q - 1)
-    counts[0] = a.zero_product_pairs(b)
-    counts.flags.writeable = False
-    return RepFn(counts=counts)
+    return _product_repfn(field, a, b, _cyclic_convolve(
+        a.membership[field.exp], b.membership[field.exp], field.q - 1))
+
+
+def rep_products(field: FieldSpec, pairs: Sequence[tuple[FqSubset, FqSubset]]) -> list[RepFn]:
+    """[rep_product(field, a, b) for a, b in pairs], two pairs at a time from
+    one paired transform plan (_paired_convolve).  A lone last pair, or two
+    the paired plan does not certify, go to rep_product one by one.
+    """
+    m = field.q - 1
+    size = _padded_size(m)
+    out: list[RepFn] = []
+    for i in range(0, len(pairs), 2):
+        two = pairs[i:i + 2]
+        nonzero = None if len(two) < 2 else _paired_convolve(
+            *(x.membership[field.exp] for pair in two for x in pair), m, size)
+        if nonzero is None:
+            out += [rep_product(field, a, b) for a, b in two]
+        else:
+            out += [_product_repfn(field, a, b, r) for (a, b), r in zip(two, nonzero)]
+    return out
 
 
 def rep_sum(field: FieldSpec, a: FqSubset, b: FqSubset) -> RepFn:

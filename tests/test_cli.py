@@ -367,12 +367,58 @@ def test_bounds_measures_w_once_for_the_sweep(capsys, monkeypatch, tmp_path):
 
 
 def test_count_builds_each_piece_once_for_every_lambda(capsys, monkeypatch, tmp_path):
-    calls = count_calls_everywhere(monkeypatch, ("rep_product", "set_char_sums"),
-                                   tmp_path / "log")
+    calls = count_calls_everywhere(
+        monkeypatch, ("rep_product", "rep_products", "_paired_convolve", "set_char_sums"),
+        tmp_path / "log")
     code, recs, _ = run_json(capsys, COUNT_ARGS[:-2] + ["--lambda", "all", "--no-timing"])
     assert code == 0 and len(recs) == 4
-    # r_AB, r_CD, S_{-C} and S_D once for the 4 lambdas
-    assert calls() == {"rep_product": 2, "set_char_sums": 2}
+    # r_AB and r_{(-C)D} from one paired plan, S_{-C} and S_D once, for the 4 lambdas
+    assert calls() == {"rep_products": 1, "_paired_convolve": 1, "set_char_sums": 2}
+
+
+AB_ARGS = ["--a", "random:5", "--b", "random:6"]
+LAMBDA_ARGS = ["--lambda", "3", "--seed", "2", "--no-timing"]
+PAIRED_ARGS = [*AB_ARGS, "--c", "random:4", "--d", "random:5", *LAMBDA_ARGS]
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["count", "--p", "13", *PAIRED_ARGS], {"_paired_convolve": 1}),
+    (["det2", "--p", "13", *PAIRED_ARGS], {"_paired_convolve": 1}),
+    (["solvability", "--p", "13", *PAIRED_ARGS], {"_paired_convolve": 1}),
+    (["det2", "--p", "2", "--k", "4", *PAIRED_ARGS], {"_paired_convolve": 1}),
+    # W builds r_AB alone first, then the Cauchy check r_{(-C)D} alone
+    (["bounds", "--p", "13", *PAIRED_ARGS], {"rep_product": 2}),
+    # the fold's two pairs together, then the cross-check's r_{(-A1)B1} alone
+    (["countn", "--p", "13", *AB_ARGS, "--a", "random:4", "--b", "random:5", *LAMBDA_ARGS],
+     {"_paired_convolve": 1, "rep_product": 1}),
+    # at p = 2 the cross-check's products are the fold's
+    (["countn", "--p", "2", "--k", "4", *AB_ARGS, "--a", "random:4", "--b", "random:5",
+      *LAMBDA_ARGS], {"_paired_convolve": 1}),
+    # three pairs: two together, the third alone
+    (["countn", "--p", "13", *AB_ARGS * 3, *LAMBDA_ARGS],
+     {"_paired_convolve": 1, "rep_product": 1}),
+], ids=["count", "det2", "solvability", "det2-f16", "bounds", "countn", "countn-f16",
+        "countn-3"])
+def test_bilinear_counts_build_their_products_together(capsys, monkeypatch, tmp_path,
+                                                      argv, built):
+    calls = count_calls_everywhere(monkeypatch, ("rep_product", "_paired_convolve"),
+                                   tmp_path / "log")
+    code, recs, _ = run_json(capsys, argv)
+    assert code == 0 and len(recs) == 1
+    assert calls() == built
+
+
+def test_a_pair_named_twice_builds_its_product_once(monkeypatch, tmp_path):
+    # "-a" is a when p = 2, so a*b + (-a)*b = lam asks for r_AB twice
+    field = make_field(2, 4)
+    inst = Instance(field, {name: realize(field, parse_setspec("random:6"), derive_seed(4, i))
+                            for i, name in enumerate("ab")})
+    calls = count_calls_everywhere(monkeypatch, ("rep_product", "_paired_convolve"),
+                                   tmp_path / "log")
+    n = inst.bilinear("a", "b", "-a", "b", 5)
+    assert calls() == {"rep_product": 1}
+    a, b = inst.sets["a"], inst.sets["b"]
+    assert n == ffb.counters.count_bilinear(field, a, b, a, b, 5)
 
 
 @pytest.mark.parametrize("p, q", [("13", 13), ("3 --k 2", 9)])

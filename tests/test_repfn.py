@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ffb.repfn
+
 from ffb.counters import count_bilinear
 from ffb.errors import BadParam, IntegerOverflow
 from ffb.field import field_add, field_inv, field_mul, field_neg, make_field
@@ -16,6 +18,7 @@ from ffb.repfn import (
     _cyclic_convolve,
     _limb_convolve,
     _packed_convolve,
+    _paired_convolve,
     _rfft_error_bound,
     _walsh_hadamard,
     _xor_convolve,
@@ -27,6 +30,7 @@ from ffb.repfn import (
     inverse_subset,
     negate_subset,
     rep_product,
+    rep_products,
     rep_sum,
     shift_repfn,
     subset_from_codes,
@@ -528,3 +532,84 @@ def test_rep_product_falls_back_to_the_limb_plan(monkeypatch):
     x = np.arange(m)
     for z in np.random.default_rng(22).integers(0, m, 500):
         assert out.counts[field.exp[z]] == int(np.dot(u, v[(z - x) % m]))
+
+
+def paired_cases(m, rng):
+    """Four-vector cases (u1, v1, u2, v2) over Z_m: random indicators at
+    random densities, near-full and full indicators (digits 0, 1 and 2 at
+    their bounds m, 2m and m), and small counts: dense ones only at small m,
+    where the plan certifies them."""
+    full = np.ones(m, dtype=bool)
+    near = full.copy()
+    near[rng.integers(0, m, 3)] = False
+    yield [rng.random(m) < rng.random() for _ in range(4)]
+    yield [near, full, full, near]
+    yield [full] * 4
+    yield [rng.integers(0, 4, m) * (rng.random(m) < 0.05) for _ in range(4)]
+    if m < 100:
+        yield [rng.integers(0, 4, m) for _ in range(4)]
+
+
+@pytest.mark.parametrize("m", [6, 12, 4092, 4095, 8190])
+def test_paired_plan_equals_two_cyclic_convolutions(m):
+    rng = np.random.default_rng(m)
+    for u1, v1, u2, v2 in paired_cases(m, rng):
+        pair = _paired_convolve(u1, v1, u2, v2, m, padded_size(m))
+        assert pair is not None
+        assert all(r.dtype == np.int64 for r in pair)
+        assert pair[0].tolist() == _cyclic_convolve(u1, v1, m).tolist()
+        assert pair[1].tolist() == _cyclic_convolve(u2, v2, m).tolist()
+    # the full case: u1*v1 = m = su1 mv1, and u1*v2 + u2*v1 = 2m, its bound,
+    # within 8 of 2^s at m = 4092, 4095 and 8190
+    full = np.ones(m, dtype=bool)
+    low, high = _paired_convolve(full, full, full, full, m, padded_size(m))
+    assert low.min() == low.max() == high.max() == m
+
+
+def test_paired_plan_takes_three_transforms_for_two_products(monkeypatch):
+    field = make_field(8191)
+    a, b, c, d = (realize(field, SetSpec("random", (1024,)), derive_seed(23, slot))
+                  for slot in range(4))
+    calls = count_transforms(monkeypatch)
+    paired = rep_products(field, [(a, b), (c, d)])
+    assert calls == {"rfft": 2, "irfft": 1}
+    for (x, y), r in zip([(a, b), (c, d)], paired):
+        assert r.counts.tolist() == rep_product(field, x, y).counts.tolist()
+        assert not r.counts.flags.writeable
+
+
+def test_paired_plan_falls_back_on_the_digit_test(monkeypatch):
+    # u2*v2 reaches 2^40, so 2s + 41 > 52: refused before Percival's bound is taken
+    m = 6
+    u1 = v1 = np.array([1, 0, 0, 0, 0, 0])
+    u2 = v2 = np.array([1 << 20, 0, 0, 0, 0, 0])
+    bounds = []
+    monkeypatch.setattr(ffb.repfn, "_rfft_error_bound",
+                        lambda *args: bounds.append(args) or _rfft_error_bound(*args))
+    assert _paired_convolve(u1, v1, u2, v2, m, padded_size(m)) is None
+    assert bounds == []
+
+
+def test_paired_plan_falls_back_on_percivals_bound(monkeypatch):
+    # the square plan's bound is 1.10 here; each product takes the limb plan
+    field = make_field(65521)
+    a, b, c, d = (realize(field, SetSpec("random", (16000,)), derive_seed(24, slot))
+                  for slot in range(4))
+    vectors = [x.membership[field.exp] for x in (a, b, c, d)]
+    assert _paired_convolve(*vectors, field.q - 1, padded_size(field.q - 1)) is None
+    calls = count_transforms(monkeypatch)
+    paired = rep_products(field, [(a, b), (c, d)])
+    assert calls == {"rfft": 4, "irfft": 2}
+    assert [r.total() for r in paired] == [a.size * b.size, c.size * d.size]
+
+
+def test_rep_products_sends_a_lone_pair_to_rep_product(monkeypatch, f13):
+    sets = [seeded_subset(f13, derive_seed(25, i), lo=0) for i in range(6)]
+    pairs = [(sets[0], sets[1]), (sets[2], sets[3]), (sets[4], sets[5])]
+    lone = []
+    monkeypatch.setattr(ffb.repfn, "rep_product",
+                        lambda field, x, y: lone.append(x) or rep_product(field, x, y))
+    assert rep_products(f13, []) == []
+    assert [r.counts.tolist() for r in rep_products(f13, pairs)] == \
+        [brute_product(f13, x, y).tolist() for x, y in pairs]
+    assert lone == [sets[4]]

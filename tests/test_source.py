@@ -4,6 +4,9 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ffb
@@ -154,3 +157,12 @@ def test_traced_layers_are_public_functions():
                 or obj.__module__ != f"ffb.{module}"):
             missing.append(name)
     assert layers.NAMED and not missing, f"traced layers with no public function: {missing}"
+
+
+def test_cli_import_leaves_selfcheck_out():
+    # only selftest needs selfcheck; every other command skips compiling it
+    probe = "import sys, ffb.cli; print('ffb.selfcheck' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, timeout=60, check=True)
+    assert out.stdout.strip() == "False"
