@@ -79,9 +79,10 @@ class Instance:
         raise KeyError(f"no set named {name!r}")
 
     def products(self, pairs: Sequence[tuple[str, str]]) -> list[RepFn]:
-        """product(x, y) for each named pair.  The ones not yet held are built
-        together by repfn.rep_products, once per memo key: "-x" is x when
-        p = 2, so such pairs build one product."""
+        """r_XY for each named pair (x, y), memoised; every product is built
+        here.  The ones not yet held are built together by repfn.rep_products,
+        once per memo key: "-x" is x when p = 2, so such pairs build one
+        product."""
         keys = [("*", self._name(x), self._name(y)) for x, y in pairs]
         todo = [key for key in dict.fromkeys(keys) if key not in self._memo]
         if todo:
@@ -90,10 +91,8 @@ class Instance:
         return [self._memo[key] for key in keys]
 
     def product(self, x: str, y: str) -> RepFn:
-        """r_XY = rep_product of the named sets."""
-        x, y = self._name(x), self._name(y)
-        return self._once(("*", x, y), lambda: repfn.rep_product(
-            self.field, self.subset(x), self.subset(y)))
+        """r_XY = rep_product of the named sets: products([(x, y)])."""
+        return self.products([(x, y)])[0]
 
     def sum(self, x: str, y: str) -> RepFn:
         """r_{X+Y} = rep_sum of the named sets."""

@@ -558,12 +558,11 @@ def rep_products(field: FieldSpec, pairs: Sequence[tuple[FqSubset, FqSubset]]) -
     the paired plan does not certify, go to rep_product one by one.
     """
     m = field.q - 1
-    size = _padded_size(m)
     out: list[RepFn] = []
     for i in range(0, len(pairs), 2):
         two = pairs[i:i + 2]
         nonzero = None if len(two) < 2 else _paired_convolve(
-            *(x.membership[field.exp] for pair in two for x in pair), m, size)
+            *(x.membership[field.exp] for pair in two for x in pair), m, _padded_size(m))
         if nonzero is None:
             out += [rep_product(field, a, b) for a, b in two]
         else:
