@@ -338,6 +338,8 @@ def _slots_from_args(args, op: str) -> tuple[list[tuple[str, str]], dict]:
     slots = [(name, getattr(args, name)) for name in OPS[op][0]]
     if op != "bounds":
         return slots, {}
+    if args.r_max < 1:
+        raise _Usage(f"--r-max must be >= 1, got {args.r_max}")
     if (args.c is None) != (args.d is None):
         raise _Usage("bounds needs --c and --d together or neither")
     if args.c is not None:

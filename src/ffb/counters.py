@@ -19,7 +19,7 @@ they take -C.  The routes differ only in how the pair count over -C and D
 is formed: the exact route convolves the sets (r_{(-C)D}), the character
 route sums the tables S_{-C} and S_D over every character (pair_kernel).
 Neither depends on lam, and both end in the same exact dot with s.
-Instance.bilinear builds r_AB and r_{(-C)D} together, from one paired
+Instance.bilinear builds r_AB and r_{(-C)D} together, from one packed
 transform plan (repfn.rep_products); count_bilinear builds the exact
 route's pieces afresh from the sets, one rep_product each.
 """

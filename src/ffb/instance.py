@@ -9,7 +9,7 @@ the character route and W; the character route's other piece, the pair
 kernel, is built once and no lam changes it, so a count at another lam
 takes no transform.  The bound checks read main and err off the exact
 count (main_and_error), never off the character route.  The exact count
-builds r_AB and r_{(-C)D} together, two products from one paired transform
+builds r_AB and r_{(-C)D} together, two products from one packed transform
 plan (repfn.rep_products), as fold does for its pairs.  A piece that
 depends on lam is kept for one lam at a time: asking for it at another
 lam replaces it, so a sweep holds one of each.

@@ -14,36 +14,26 @@ Stability of Numerical Algorithms, ch. 24): every entry is off by less than
 e = 2^-53 and twiddle error b.  For numpy's pocketfft the bound is taken
 with n radix-2 levels, which its radix-4 passes do not exceed in roundings
 per element, and b = 2^-50, since its twiddles come from accurately reduced
-sin/cos tables.  Three plans are certified this way.  rep_products takes
-the paired plan for two products at a time:
+sin/cos tables.  Two plans are certified this way:
 
-- paired: u1*v1 and u2*v2 from w1 = u1 + 2^s u2 and w2 = v1 + 2^s v2,
-  rfft of w1, rfft of w2 in the same buffer, one pointwise product and
-  one irfft: three transforms for two products, where two packed plans
-  take four.  u1*v1 is read from the low s bits of w1*w2 and u2*v2 from
-  bit 2s upward (proof in _paired_convolve).  s makes digit 0 (u1*v1) and
-  digit 1 (u1*v2 + u2*v1) each below 2^s from exact entry bounds, and the
-  plan applies when 2s plus the bit length of u2*v2's bound is at most 52
-  and the bound with ||w1|| ||w2|| is below ROUND_BUDGET, both norms bounded
-  term by term from exact sums.  For four indicator vectors of one size
-  its bound is the packed plan's (9.0e-4 at q = 8191 with 1024-element
-  sets); where it does not certify (1.10 at q = 65521 with 16000-element
-  sets), each product falls back to the plans below.
-
-Each single convolution (_cyclic_convolve) takes, in this order:
-
-- packed: both inputs ride in one real vector w = u + 2^s v, and u*v is
-  read from the middle digit of w*w (proof in _packed_convolve): one rfft,
-  one pointwise square and one irfft.  It applies when w is exact in
-  float64 and the bound with ||w||^2 for ||x|| ||y|| is below
-  ROUND_BUDGET = 0.25, which holds for indicator vectors up to about
-  q = 2^15 with sets of a few thousand elements (the bound is 9.0e-4 at
-  q = 8191 with 1024-element sets, 1.10 at q = 65521 with 16000-element
-  sets).
-- limbs: otherwise, when the bound on ||u|| ||v|| is below ROUND_BUDGET,
-  one rfft of each input; if not, both inputs are split into base-2^s
-  limbs with the widest s for which every output weight passes, and the
-  rounded weights are recombined in int64.
+- packed: one product or two from one irfft (proof in _packed_convolve).
+  One pair rides in w = u + 2^s v and u*v is read from the middle digit
+  of w*w: one rfft, one pointwise square.  Two pairs ride in
+  w1 = u1 + 2^s u2 and w2 = v1 + 2^s v2, and u1*v1 and u2*v2 are read
+  from the low and high digits of w1*w2: two rfft, three transforms for
+  two products.  s is chosen from exact entry bounds so that the digits
+  do not overlap, and the plan applies when the product of the exact
+  bounds on ||w1||^2 and ||w2||^2 is below 2^104 and Percival's bound on
+  their square roots is below ROUND_BUDGET = 0.25.  For indicator vectors
+  this holds up to about q = 2^15 with sets of a few thousand elements
+  (the bound is 9.0e-4 at q = 8191 with 1024-element sets, 1.10 at
+  q = 65521 with 16000-element sets).  rep_products takes it for two
+  products at a time, and two it does not certify together fall back to
+  rep_product one by one.
+- limbs: otherwise (_cyclic_convolve), when the bound on ||u|| ||v|| is
+  below ROUND_BUDGET, one rfft of each input; if not, both inputs are
+  split into base-2^s limbs with the widest s for which every output
+  weight passes, and the rounded weights are recombined in int64.
 
 additive_convolve refuses inputs whose result it cannot prove below 2^63
 entrywise; its docstring has the proof.
@@ -241,102 +231,66 @@ def _limb_split(u: np.ndarray, v: np.ndarray, size: int) -> tuple[int, int]:
     raise IntegerOverflow(f"no limb width certifies a convolution of {bits}-bit entries")
 
 
-def _packed_convolve(u: np.ndarray, v: np.ndarray, m: int, size: int) -> np.ndarray | None:
-    """The packed plan of _cyclic_convolve: u * v from one real transform
-    pair, or None when the a-priori bound does not certify it.
+def _packed_convolve(pairs: Sequence[tuple[np.ndarray, np.ndarray]], m: int,
+                     size: int) -> list[np.ndarray] | None:
+    """The packed plan: [u * v for u, v in pairs] over Z_m for one pair or
+    two, from one transform per packed vector and one irfft, or None when
+    the a-priori bound does not certify it.
 
-    With su, sv the sums and mu, mv the maxima of the inputs, every entry
-    satisfies (u*u)[z] <= su mu and (u*v)[z] <= min(su mv, sv mu), each term
-    being at most one input entry times the other input's maximum.  So
-    s = bit_length(max(su mu, 2 min(su mv, sv mu))) >= 1 gives u*u < 2^s and
-    u*v < 2^(s-1) entrywise, cyclically folded or not.  The packed vector
-    w = u + 2^s v has w*w = X = u*u + 2^(s+1) (u*v) + 2^(2s) (v*v): the low
-    s + 1 bits of X hold u*u alone, the next s - 1 bits hold u*v alone, so
-    u*v = (X >> (s+1)) & (2^(s-1) - 1).
+    Two pairs (u1, v1), (u2, v2) pack a = (u1, u2) and b = (v1, v2); one
+    pair (u, v) packs a = b = (u, v).  The packed vectors are
+    wa = a0 + 2^s a1 and wb = b0 + 2^s b1, and their product is
+    X = a0*b0 + 2^s (a0*b1 + a1*b0) + 2^(2s) a1*b1.  With c(x, y) =
+    min(sx my, sy mx) (s a sum, m a maximum), which bounds every entry of
+    x*y, cyclically folded or not, and <x, y>, and c(x, x) = sx mx >=
+    ||x||^2, let s = bit_length(max(c(a0, b0), c(a0, b1) + c(a1, b0))) >= 1:
+    digits 0 and 1 of X in base 2^s are below 2^s entrywise.  So two pairs
+    read u1*v1 = X & (2^s - 1) and u2*v2 = X >> 2s from two rfft and one
+    irfft, and one pair squares one rfft, w = u + 2^s v, and reads
+    u*v = (X >> (s+1)) & (2^(s-1) - 1) from digit 1 = 2 u*v.
 
-    w is built in one zero-padded float64 buffer, exact when
-    s + bit_length(mv) <= 52.  Percival's bound holds with x = y, so the
-    plan is taken when _rfft_error_bound(n2, size) < ROUND_BUDGET for
-    n2 = su mu + 2^(s+1) min(su mv, sv mu) + 2^(2s) sv mv, which bounds
-    ||w||^2 = ||u||^2 + 2^(s+1) <u, v> + 2^(2s) ||v||^2 term by term.
-    Every computed entry is then within 0.25 of X, and X <= ||w||^2 < 2^53
-    (the bound exceeds 2 e ||w||^2 at every size), so rounding gives X
-    exactly, and so does the fold mod m.  The sums are exact (exact_sum) and
-    n2 is a Python integer: a sum that wrapped would shrink s and certify a
-    plan whose digits overlap.
+    na = c(a0, a0) + 2^(s+1) c(a0, a1) + 2^(2s) c(a1, a1) bounds
+    ||wa||^2 = ||a0||^2 + 2^(s+1) <a0, a1> + 2^(2s) ||a1||^2 term by term,
+    and nb likewise ||wb||^2; every sum is exact (exact_sum) and na, nb are
+    Python integers, since a sum that wrapped would shrink s and certify
+    digits that overlap.  The plan needs na nb < 2^104, so every entry of
+    X, and of its fold mod m, is at most ||wa|| ||wb|| < 2^52, and
+    Percival's bound on sqrt(na) sqrt(nb) below ROUND_BUDGET, so every
+    computed entry is within 0.25 of X and rounding gives X exactly.  The
+    packed vectors are exact in float64: nb = 0 makes wb = 0 and every
+    product zero, and otherwise na <= na nb < 2^104 keeps every entry of
+    wa below 2^52; likewise for wb.  Both live in one zero-padded buffer,
+    wb written over wa after its transform.
     """
-    su, sv = (exact_sum(x) for x in (u, v))
-    mu, mv = (int(x.max()) for x in (u, v))
-    cross = min(su * mv, sv * mu)
-    s = max(1, max(su * mu, 2 * cross).bit_length())
-    if (s + mv.bit_length() > _FLOAT_EXACT_BITS - 1
-            or _rfft_error_bound(float(su * mu + (cross << (s + 1)) + (sv * mv << (2 * s))),
-                                 size) >= ROUND_BUDGET):
-        return None
-    buf = np.zeros(size)
-    w = buf[:m]
-    np.multiply(v, 2.0 ** s, out=w)
-    w += u
-    h = np.fft.rfft(buf)
-    h *= h
-    lin = np.fft.irfft(h, size, out=buf)[: 2 * m - 1]
-    np.rint(lin, out=lin)
-    lin[: m - 1] += lin[m:]
-    return (lin[:m].astype(np.int64) >> (s + 1)) & ((1 << (s - 1)) - 1)
-
-
-def _paired_convolve(u1: np.ndarray, v1: np.ndarray, u2: np.ndarray, v2: np.ndarray,
-                     m: int, size: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The paired plan: u1 * v1 and u2 * v2 over Z_m from three transforms
-    (two rfft, one irfft), or None when the a-priori bound does not
-    certify it.
-
-    With c(x, y) = min(sx my, sy mx) (s a sum, m a maximum, as in
-    _packed_convolve), which bounds every entry of x*y and <x, y>, and
-    c(x, x) = sx mx >= ||x||^2, let s = bit_length(max(c(u1, v1),
-    c(u1, v2) + c(u2, v1))) >= 1.  The packed vectors w1 = u1 + 2^s u2 and
-    w2 = v1 + 2^s v2 have w1*w2 = X = u1*v1 + 2^s (u1*v2 + u2*v1) +
-    2^(2s) u2*v2, whose digits 0 and 1 in base 2^s are below 2^s entrywise,
-    cyclically folded or not, so u1*v1 = X & (2^s - 1) and
-    u2*v2 = X >> 2s.  With L = bit_length(c(u2, v2)) the plan needs
-    2s + L <= 52, which keeps X < 2^(2s + L) <= 2^52.
-
-    Percival's bound is taken with ||w1|| ||w2|| <= sqrt(n1 n2), where
-    n1 = c(u1, u1) + 2^(s+1) c(u1, u2) + 2^(2s) c(u2, u2) bounds ||w1||^2 =
-    ||u1||^2 + 2^(s+1) <u1, u2> + 2^(2s) ||u2||^2 term by term, and n2
-    likewise for w2; every sum is exact (exact_sum) and n1, n2 are Python
-    integers.  Under ROUND_BUDGET every computed entry is within 0.25 of X,
-    so rounding gives X, and so does the fold mod m, whose sums stay below
-    2^53.  The packed vectors are exact in float64: w2 = 0 makes every
-    product zero, and otherwise ||w2|| >= 1, so ||w1|| is below ROUND_BUDGET
-    over the bound's growth factor, below 2^50; likewise for w2.  Both
-    live in one zero-padded buffer, w2 written over w1 after its transform.
-    """
-    x1, x2, y1, y2 = ((exact_sum(x), int(x.max())) for x in (u1, u2, v1, v2))
+    lone = len(pairs) == 1
+    a, b = (pairs[0], pairs[0]) if lone else tuple(zip(*pairs))
+    (a0, a1), (b0, b1) = ([(exact_sum(x), int(x.max())) for x in xs] for xs in (a, b))
 
     def c(x: tuple[int, int], y: tuple[int, int]) -> int:
         return min(x[0] * y[1], y[0] * x[1])
 
-    s = max(1, max(c(x1, y1), c(x1, y2) + c(x2, y1)).bit_length())
-    if 2 * s + c(x2, y2).bit_length() > _FLOAT_EXACT_BITS - 1:
-        return None
-    n1, n2 = (c(a, a) + (c(a, b) << (s + 1)) + (c(b, b) << (2 * s))
-              for a, b in ((x1, x2), (y1, y2)))
-    if _rfft_error_bound(math.sqrt(n1) * math.sqrt(n2), size) >= ROUND_BUDGET:
+    s = max(1, max(c(a0, b0), c(a0, b1) + c(a1, b0)).bit_length())
+    na, nb = (c(x0, x0) + (c(x0, x1) << (s + 1)) + (c(x1, x1) << (2 * s))
+              for x0, x1 in ((a0, a1), (b0, b1)))
+    if ((na * nb).bit_length() > 2 * (_FLOAT_EXACT_BITS - 1)
+            or _rfft_error_bound(math.sqrt(na) * math.sqrt(nb), size) >= ROUND_BUDGET):
         return None
     buf = np.zeros(size)
     w = buf[:m]
-    np.multiply(u2, 2.0 ** s, out=w)
-    w += u1
-    h = np.fft.rfft(buf)
-    np.multiply(v2, 2.0 ** s, out=w)
-    w += v1
-    h *= np.fft.rfft(buf)
+    spectra = []
+    for x0, x1 in (a,) if lone else (a, b):
+        np.multiply(x1, 2.0 ** s, out=w)
+        w += x0
+        spectra.append(np.fft.rfft(buf))
+    h = spectra[0]
+    h *= spectra[-1]
     lin = np.fft.irfft(h, size, out=buf)[: 2 * m - 1]
     np.rint(lin, out=lin)
     lin[: m - 1] += lin[m:]
     x = lin[:m].astype(np.int64)
-    return x & ((1 << s) - 1), x >> (2 * s)
+    if lone:
+        return [(x >> (s + 1)) & ((1 << (s - 1)) - 1)]
+    return [x & ((1 << s) - 1), x >> (2 * s)]
 
 
 def _limb_convolve(u: np.ndarray, v: np.ndarray, m: int, size: int) -> np.ndarray:
@@ -390,8 +344,8 @@ def _cyclic_convolve(u: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
     (one rfft per limb of each input, one irfft per output weight).
     """
     size = _padded_size(m)
-    out = _packed_convolve(u, v, m, size)
-    return out if out is not None else _limb_convolve(u, v, m, size)
+    out = _packed_convolve([(u, v)], m, size)
+    return out[0] if out is not None else _limb_convolve(u, v, m, size)
 
 
 def _sylvester_hadamard(n: int) -> np.ndarray:
@@ -554,15 +508,15 @@ def rep_product(field: FieldSpec, a: FqSubset, b: FqSubset) -> RepFn:
 
 def rep_products(field: FieldSpec, pairs: Sequence[tuple[FqSubset, FqSubset]]) -> list[RepFn]:
     """[rep_product(field, a, b) for a, b in pairs], two pairs at a time from
-    one paired transform plan (_paired_convolve).  A lone last pair, or two
-    the paired plan does not certify, go to rep_product one by one.
+    one packed plan (_packed_convolve).  A lone last pair, or two the plan
+    does not certify together, go to rep_product one by one.
     """
     m = field.q - 1
     out: list[RepFn] = []
     for i in range(0, len(pairs), 2):
         two = pairs[i:i + 2]
-        nonzero = None if len(two) < 2 else _paired_convolve(
-            *(x.membership[field.exp] for pair in two for x in pair), m, _padded_size(m))
+        nonzero = None if len(two) < 2 else _packed_convolve(
+            [tuple(x.membership[field.exp] for x in pair) for pair in two], m, _padded_size(m))
         if nonzero is None:
             out += [rep_product(field, a, b) for a, b in two]
         else:

@@ -302,15 +302,40 @@ def test_scan_rejects_bad_worker_counts(capsys):
         assert "--jobs must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("r_max", ["0", "-3"])
+@pytest.mark.parametrize("command", [["bounds"], ["scan", "--op", "bounds"]],
+                         ids=["bounds", "scan"])
+def test_bounds_rejects_an_r_max_below_1(capsys, command, r_max):
+    assert run([*command, "--p", "13", "--a", "random:5", "--b", "random:6",
+                "--r-max", r_max]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ffb: --r-max must be >= 1, got {r_max}\n"
+
+
+# The log name of a _packed_convolve call that takes two pairs, the plan
+# that builds two products together; its lone calls are not logged.
+PAIRED = "_packed_convolve/2"
+
+
+def _log_name(name, args):
+    if name != "_packed_convolve":
+        return name
+    return PAIRED if len(args[0]) == 2 else None
+
+
 def count_calls(monkeypatch, module, names, log):
     """Wrap module.<name> for each name so every call, in this process or a
-    forked worker, appends the name to the file log; returns a reader."""
+    forked worker, appends the name to the file log (PAIRED for a two-pair
+    _packed_convolve); returns a reader."""
     for name in names:
         original = getattr(module, name)
 
         def wrapper(*args, _name=name, _original=original, **kwargs):
-            with open(log, "a", encoding="utf-8") as fh:
-                fh.write(_name + "\n")
+            logged = _log_name(_name, args)
+            if logged is not None:
+                with open(log, "a", encoding="utf-8") as fh:
+                    fh.write(logged + "\n")
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
@@ -368,12 +393,12 @@ def test_bounds_measures_w_once_for_the_sweep(capsys, monkeypatch, tmp_path):
 
 def test_count_builds_each_piece_once_for_every_lambda(capsys, monkeypatch, tmp_path):
     calls = count_calls_everywhere(
-        monkeypatch, ("rep_product", "rep_products", "_paired_convolve", "set_char_sums"),
+        monkeypatch, ("rep_product", "rep_products", "_packed_convolve", "set_char_sums"),
         tmp_path / "log")
     code, recs, _ = run_json(capsys, COUNT_ARGS[:-2] + ["--lambda", "all", "--no-timing"])
     assert code == 0 and len(recs) == 4
-    # r_AB and r_{(-C)D} from one paired plan, S_{-C} and S_D once, for the 4 lambdas
-    assert calls() == {"rep_products": 1, "_paired_convolve": 1, "set_char_sums": 2}
+    # r_AB and r_{(-C)D} from one two-pair packed plan, S_{-C} and S_D once, for the 4 lambdas
+    assert calls() == {"rep_products": 1, PAIRED: 1, "set_char_sums": 2}
 
 
 AB_ARGS = ["--a", "random:5", "--b", "random:6"]
@@ -382,26 +407,26 @@ PAIRED_ARGS = [*AB_ARGS, "--c", "random:4", "--d", "random:5", *LAMBDA_ARGS]
 
 
 @pytest.mark.parametrize("argv, built", [
-    (["count", "--p", "13", *PAIRED_ARGS], {"_paired_convolve": 1}),
-    (["det2", "--p", "13", *PAIRED_ARGS], {"_paired_convolve": 1}),
-    (["solvability", "--p", "13", *PAIRED_ARGS], {"_paired_convolve": 1}),
-    (["det2", "--p", "2", "--k", "4", *PAIRED_ARGS], {"_paired_convolve": 1}),
+    (["count", "--p", "13", *PAIRED_ARGS], {PAIRED: 1}),
+    (["det2", "--p", "13", *PAIRED_ARGS], {PAIRED: 1}),
+    (["solvability", "--p", "13", *PAIRED_ARGS], {PAIRED: 1}),
+    (["det2", "--p", "2", "--k", "4", *PAIRED_ARGS], {PAIRED: 1}),
     # W builds r_AB alone first, then the Cauchy check r_{(-C)D} alone
     (["bounds", "--p", "13", *PAIRED_ARGS], {"rep_product": 2}),
     # the fold's two pairs together, then the cross-check's r_{(-A1)B1} alone
     (["countn", "--p", "13", *AB_ARGS, "--a", "random:4", "--b", "random:5", *LAMBDA_ARGS],
-     {"_paired_convolve": 1, "rep_product": 1}),
+     {PAIRED: 1, "rep_product": 1}),
     # at p = 2 the cross-check's products are the fold's
     (["countn", "--p", "2", "--k", "4", *AB_ARGS, "--a", "random:4", "--b", "random:5",
-      *LAMBDA_ARGS], {"_paired_convolve": 1}),
+      *LAMBDA_ARGS], {PAIRED: 1}),
     # three pairs: two together, the third alone
     (["countn", "--p", "13", *AB_ARGS * 3, *LAMBDA_ARGS],
-     {"_paired_convolve": 1, "rep_product": 1}),
+     {PAIRED: 1, "rep_product": 1}),
 ], ids=["count", "det2", "solvability", "det2-f16", "bounds", "countn", "countn-f16",
         "countn-3"])
 def test_bilinear_counts_build_their_products_together(capsys, monkeypatch, tmp_path,
                                                       argv, built):
-    calls = count_calls_everywhere(monkeypatch, ("rep_product", "_paired_convolve"),
+    calls = count_calls_everywhere(monkeypatch, ("rep_product", "_packed_convolve"),
                                    tmp_path / "log")
     code, recs, _ = run_json(capsys, argv)
     assert code == 0 and len(recs) == 1
@@ -413,7 +438,7 @@ def test_a_pair_named_twice_builds_its_product_once(monkeypatch, tmp_path):
     field = make_field(2, 4)
     inst = Instance(field, {name: realize(field, parse_setspec("random:6"), derive_seed(4, i))
                             for i, name in enumerate("ab")})
-    calls = count_calls_everywhere(monkeypatch, ("rep_product", "_paired_convolve"),
+    calls = count_calls_everywhere(monkeypatch, ("rep_product", "_packed_convolve"),
                                    tmp_path / "log")
     n = inst.bilinear("a", "b", "-a", "b", 5)
     assert calls() == {"rep_product": 1}

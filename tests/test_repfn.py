@@ -18,12 +18,12 @@ from ffb.repfn import (
     _cyclic_convolve,
     _limb_convolve,
     _packed_convolve,
-    _paired_convolve,
     _rfft_error_bound,
     _walsh_hadamard,
     _xor_convolve,
     _xor_limb_width,
     additive_convolve,
+    exact_sum,
     complement_subset,
     empty_subset,
     full_subset,
@@ -425,9 +425,20 @@ def padded_size(m):
     return 1 << (2 * m - 2).bit_length()
 
 
+def packed(u, v, m):
+    """The packed plan's lone product u * v over Z_m, or None."""
+    out = _packed_convolve([(u, v)], m, padded_size(m))
+    return None if out is None else out[0]
+
+
+def packed_two(u1, v1, u2, v2, m):
+    """The packed plan's products [u1 * v1, u2 * v2] over Z_m, or None."""
+    return _packed_convolve([(u1, v1), (u2, v2)], m, padded_size(m))
+
+
 def both_plans(u, v, m):
     """(packed plan or None, limb plan) of the cyclic convolution over Z_m."""
-    return _packed_convolve(u, v, m, padded_size(m)), _limb_convolve(u, v, m, padded_size(m))
+    return packed(u, v, m), _limb_convolve(u, v, m, padded_size(m))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -451,7 +462,7 @@ def test_packed_plan_at_full_digit_loads():
         for index in indices:
             sub = subset_from_codes(field, field.exp[::index])
             u = sub.membership[field.exp]
-            out = _packed_convolve(u, u, q - 1, padded_size(q - 1))
+            out = packed(u, u, q - 1)
             expect = cyclic_oracle(u.astype(np.int64), u.astype(np.int64), q - 1)
             assert expect.max() == sub.size
             assert out.tolist() == expect.tolist()
@@ -522,7 +533,7 @@ def test_rep_product_falls_back_to_the_limb_plan(monkeypatch):
     a, b = (realize(field, SetSpec("random", (16000,)), derive_seed(21, slot))
             for slot in range(2))
     u, v = (x.membership[field.exp] for x in (a, b))
-    assert _packed_convolve(u, v, m, padded_size(m)) is None
+    assert packed(u, v, m) is None
     calls = count_transforms(monkeypatch)
     out = rep_product(field, a, b)
     assert calls == {"rfft": 2, "irfft": 1}
@@ -554,7 +565,7 @@ def paired_cases(m, rng):
 def test_paired_plan_equals_two_cyclic_convolutions(m):
     rng = np.random.default_rng(m)
     for u1, v1, u2, v2 in paired_cases(m, rng):
-        pair = _paired_convolve(u1, v1, u2, v2, m, padded_size(m))
+        pair = packed_two(u1, v1, u2, v2, m)
         assert pair is not None
         assert all(r.dtype == np.int64 for r in pair)
         assert pair[0].tolist() == _cyclic_convolve(u1, v1, m).tolist()
@@ -562,7 +573,7 @@ def test_paired_plan_equals_two_cyclic_convolutions(m):
     # the full case: u1*v1 = m = su1 mv1, and u1*v2 + u2*v1 = 2m, its bound,
     # within 8 of 2^s at m = 4092, 4095 and 8190
     full = np.ones(m, dtype=bool)
-    low, high = _paired_convolve(full, full, full, full, m, padded_size(m))
+    low, high = packed_two(full, full, full, full, m)
     assert low.min() == low.max() == high.max() == m
 
 
@@ -579,15 +590,44 @@ def test_paired_plan_takes_three_transforms_for_two_products(monkeypatch):
 
 
 def test_paired_plan_falls_back_on_the_digit_test(monkeypatch):
-    # u2*v2 reaches 2^40, so 2s + 41 > 52: refused before Percival's bound is taken
+    # s = 22 and u2*v2 reaches 2^40, so na nb reaches 2^168 > 2^104: refused
+    # before Percival's bound is taken
     m = 6
     u1 = v1 = np.array([1, 0, 0, 0, 0, 0])
     u2 = v2 = np.array([1 << 20, 0, 0, 0, 0, 0])
     bounds = []
     monkeypatch.setattr(ffb.repfn, "_rfft_error_bound",
                         lambda *args: bounds.append(args) or _rfft_error_bound(*args))
-    assert _paired_convolve(u1, v1, u2, v2, m, padded_size(m)) is None
+    assert packed_two(u1, v1, u2, v2, m) is None
     assert bounds == []
+
+
+def test_lone_plan_certifies_a_zero_partner_of_wide_entries():
+    # v = 0 and u near 2^20: s = 43, so 2s exceeds 52, yet w = u is exact and
+    # na nb = (su mu)^2 < 2^104; the lone plan must not take the two-pair digit test
+    m = 6
+    u = np.array([(1 << 20) - 3, 1 << 20, 0, (1 << 20) - 1, 5, 1 << 19])
+    v = np.zeros(m, dtype=np.int64)
+    assert 2 * (exact_sum(u) * int(u.max())).bit_length() > 52
+    out = packed(u, v, m)
+    assert out is not None
+    assert out.tolist() == _limb_convolve(u, v, m, padded_size(m)).tolist() == [0] * m
+    out = packed(v, u, m)
+    assert out is not None and out.tolist() == [0] * m
+
+
+def test_paired_plan_certifies_a_zero_second_pair():
+    # entries near 2^20 in the first pair put s near 2^43; the zero second
+    # pair adds nothing to na or nb, so the two certify together
+    m = 6
+    u1 = np.array([(1 << 20) - 1, 0, 1 << 20, 7, 0, (1 << 20) - 5])
+    v1 = np.array([1 << 20, (1 << 20) - 2, 0, 0, 3, 1 << 18])
+    zero = np.zeros(m, dtype=np.int64)
+    pair = packed_two(u1, v1, zero, zero, m)
+    assert pair is not None
+    assert pair[0].tolist() == _cyclic_convolve(u1, v1, m).tolist() \
+        == cyclic_oracle(u1, v1, m).tolist()
+    assert pair[1].tolist() == [0] * m
 
 
 def test_paired_plan_falls_back_on_percivals_bound(monkeypatch):
@@ -596,7 +636,7 @@ def test_paired_plan_falls_back_on_percivals_bound(monkeypatch):
     a, b, c, d = (realize(field, SetSpec("random", (16000,)), derive_seed(24, slot))
                   for slot in range(4))
     vectors = [x.membership[field.exp] for x in (a, b, c, d)]
-    assert _paired_convolve(*vectors, field.q - 1, padded_size(field.q - 1)) is None
+    assert packed_two(*vectors, field.q - 1) is None
     calls = count_transforms(monkeypatch)
     paired = rep_products(field, [(a, b), (c, d)])
     assert calls == {"rfft": 4, "irfft": 2}

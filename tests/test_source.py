@@ -26,7 +26,8 @@ def test_no_assert_statements():
 
 
 def test_no_quadratic_convolution():
-    # every cyclic convolution goes through repfn._cyclic_convolve
+    # cyclic convolutions are rfft plans (see test_fft_calls_sit_in_the_plans),
+    # never numpy's quadratic np.convolve
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))
@@ -41,6 +42,35 @@ def test_no_quadratic_convolution():
 
 def _is_numpy(node):
     return isinstance(node, ast.Name) and node.id in ("np", "numpy")
+
+
+# The functions allowed to call np.fft: the two convolution plans, the
+# character transform and the character route's pair kernel.
+FFT_SITES = {("repfn", "_packed_convolve"), ("repfn", "_limb_convolve"),
+             ("characters", "_transform"), ("counters", "pair_kernel")}
+
+
+def _imports_fft(node):
+    if not isinstance(node, (ast.Import, ast.ImportFrom)):
+        return False
+    names = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
+    return any("fft" in name for name in names)
+
+
+def test_fft_calls_sit_in_the_plans():
+    # each product layout is one packed plan, so a new transform site is a
+    # second copy of a certificate the plans already hold
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = [range(func.lineno, func.end_lineno + 1) for func in ast.walk(tree)
+                   if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   and (path.stem, func.name) in FFT_SITES]
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if (isinstance(node, ast.Attribute) and node.attr == "fft"
+                      and _is_numpy(node.value) or _imports_fft(node))
+                  and not any(node.lineno in lines for lines in allowed)]
+    assert not found, f"np.fft outside {sorted(FFT_SITES)}: {found}"
 
 
 def test_no_complex_transform_of_real_data():
