@@ -52,7 +52,8 @@ class BoundReport:
 
 
 def _extremal(field: FieldSpec, t: CharSumTable) -> BoundReport:
-    """The max modulus over nontrivial characters of t, and its index."""
+    """The max modulus over nontrivial characters of t, and its first index:
+    |S(q-1-j)| = |S(j)| exactly, so both lie in t's half, j <= (q-1)/2."""
     if field.q < 3:
         raise NoNontrivialCharacter(f"q = {field.q} has only the trivial character")
     mods = np.abs(t.values[1:])
@@ -67,14 +68,14 @@ def _ratio(measured: float, bound: float) -> float:
 
 
 def compute_W(field: FieldSpec, t: CharSumTable) -> BoundReport:
-    """W from its table t = Instance.product_table(a, b, lam): the max
+    """W from t = repfn_char_sums of Instance.shifted(a, b, lam): the max
     modulus over nontrivial characters of sum of chi(a*b - lam)."""
     return _extremal(field, t)
 
 
 def compute_V(field: FieldSpec, t: CharSumTable) -> BoundReport:
-    """V from its table t = Instance.sum_table(a, b): the max modulus over
-    nontrivial characters of sum of chi(a + b)."""
+    """V from t = repfn_char_sums of Instance.sum(a, b): the max modulus
+    over nontrivial characters of sum of chi(a + b)."""
     return _extremal(field, t)
 
 

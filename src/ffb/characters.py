@@ -8,14 +8,13 @@ stricter all-zero convention instead, where the zero element contributes
 nothing to any character sum.  Counting code re-adds zero contributions
 combinatorially, which is what makes its identities exact.
 
-A full table over all q-1 characters is one discrete Fourier transform of
-length M = q-1 of the summed weights laid out in dlog order.  The weights
-are real, so one real FFT (numpy's rfft) gives half of the table and the
-other half is its exact complex-conjugate mirror.  The tables are floats;
-the character-route counters take integers from them only through
-counters.pair_kernel, which sums two set tables over every character back
-into pair counts of at most min(#X*, #Y*) and checks each entry's rounding
-residual.
+A table is one real FFT (numpy's rfft) of length M = q-1 of the summed
+weights laid out in dlog order, so it holds j <= M/2 only: the weights are
+real, so the sum at M - j is exactly the conjugate of the sum at j.  The
+tables are floats; the character-route counters take integers from them
+only through counters.pair_kernel, which sums two set tables over every
+character back into pair counts of at most min(#X*, #Y*) and checks each
+entry's rounding residual.
 """
 
 from __future__ import annotations
@@ -31,22 +30,14 @@ from .repfn import FqSubset, RepFn
 
 
 def _transform(v: np.ndarray) -> np.ndarray:
-    """out[j] = sum over t of v[t] * e(2*pi*i*j*t/M) for real v of length M.
-
-    One real FFT h = rfft(v) gives out[j] = conj(h[j]) for j <= M/2, and the
-    rest is its Hermitian mirror out[M - j] = h[j], so out[M - j] is
-    exactly conj(out[j]).
-    """
-    h = np.fft.rfft(v)
-    out = np.empty(len(v), dtype=np.complex128)
-    out[: h.size] = h.conj()
-    out[h.size:] = h[len(v) - h.size: 0: -1]
-    return out
+    """out[j] = sum over t of v[t] * e(2*pi*i*j*t/M) for real v of length M
+    and 0 <= j <= M/2: conj(rfft(v))."""
+    return np.fft.rfft(v).conj()
 
 
 @dataclass(frozen=True, eq=False)
 class CharSumTable:
-    """values[j] = character sum for the character of index j, j in [0, q-1)."""
+    """values[j] = character sum for the character of index j, j <= (q-1)/2."""
 
     values: np.ndarray
 

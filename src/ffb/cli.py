@@ -394,6 +394,10 @@ def _run_selftest(args) -> int:
     from . import selfcheck  # only selftest compiles and runs it
 
     tuples = selfcheck.GRID_TUPLES if args.tuples is None else args.tuples
+    if tuples < 1:
+        raise _Usage(f"--tuples must be >= 1, got {tuples}")
+    if args.q_max < 3:
+        raise _Usage(f"--q-max must be >= 3, got {args.q_max}")
     results = selfcheck.run_selftest(q_max=args.q_max, tuples=tuples, base_seed=args.seed)
     failed = 0
     for name, ok, detail in results:

@@ -94,14 +94,13 @@ def pair_kernel(field: FieldSpec, s_x: CharSumTable, s_y: CharSumTable) -> RepFn
 
         K(t) = (1/(q-1)) * sum_j conj(S_X(j)) * conj(S_Y(j)) * e(2*pi*i*j*t/(q-1))
 
-    one inverse real FFT of the half spectrum, since conj(S_X(j)) for
-    j <= (q-1)/2 is rfft of X's weights in dlog order.  Each entry is an
-    integer of at most min(#X*, #Y*); the largest residual from one must
-    stay below ROUND_TOL or RoundingDrift is raised.
+    one inverse real FFT of the tables' half spectrum, j <= (q-1)/2, which
+    is all a table holds: conj(S_X(j)) is rfft of X's weights in dlog
+    order.  Each entry is an integer of at most min(#X*, #Y*); the largest
+    residual from one must stay below ROUND_TOL or RoundingDrift is raised.
     """
     m = field.q - 1
-    half = m // 2 + 1
-    k = np.fft.irfft(np.conj(s_x.values[:half]) * np.conj(s_y.values[:half]), n=m)
+    k = np.fft.irfft(np.conj(s_x.values * s_y.values), n=m)
     rounded = np.rint(k)
     drift = np.abs(k - rounded)
     t = int(drift.argmax())

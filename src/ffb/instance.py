@@ -2,8 +2,8 @@
 counters and bounds take, each computed at most once.
 
 The counters, bounds and sum-product counts write each identity once, on
-its pieces (representation functions, derived sets, character tables),
-which an Instance builds lazily from the named sets.  The target lam
+its pieces (representation functions, derived sets, pair kernels), which
+an Instance builds lazily from the named sets.  The target lam
 enters through one piece, r_XY shifted by lam, taken by the exact count,
 the character route and W; the character route's other piece, the pair
 kernel, is built once and no lam changes it, so a count at another lam
@@ -21,7 +21,6 @@ from collections.abc import Callable, Sequence
 
 from . import bounds, characters, counters, repfn
 from .bounds import BoundReport
-from .characters import CharSumTable
 from .field import FieldSpec
 from .repfn import FqSubset, RepFn
 
@@ -111,16 +110,6 @@ class Instance:
         return self._once_at(("s", x, y), lam, lambda: repfn.shift_repfn(
             self.field, self.product(x, y), lam))
 
-    def product_table(self, x: str, y: str, lam: int) -> CharSumTable:
-        """repfn_char_sums of shifted(x, y, lam): the table T_lam of W."""
-        return self._once_at(("T*", x, y), lam, lambda: characters.repfn_char_sums(
-            self.field, self.shifted(x, y, lam)))
-
-    def sum_table(self, x: str, y: str) -> CharSumTable:
-        """repfn_char_sums of r_{X+Y}: the table of V."""
-        return self._once(("T+", x, y), lambda: characters.repfn_char_sums(
-            self.field, self.sum(x, y)))
-
     def pair_kernel(self, x: str, y: str) -> RepFn:
         """counters.pair_kernel of the named sets' character tables: the
         character route's r*_XY, which no shift changes."""
@@ -167,14 +156,14 @@ class Instance:
             self.field, self.sum(a, b), self.subset(c), self.subset(d), self.pair_kernel(c, d))
 
     def w(self, a: str, b: str, lam: int) -> BoundReport:
-        """bounds.compute_W at lam, on product_table(a, b, lam)."""
+        """bounds.compute_W at lam, on the table of shifted(a, b, lam)."""
         return self._once_at(("W", a, b), lam, lambda: bounds.compute_W(
-            self.field, self.product_table(a, b, lam)))
+            self.field, characters.repfn_char_sums(self.field, self.shifted(a, b, lam))))
 
     def v(self, a: str, b: str) -> BoundReport:
-        """bounds.compute_V, on sum_table(a, b)."""
+        """bounds.compute_V, on the table of sum(a, b)."""
         return self._once(("V", a, b), lambda: bounds.compute_V(
-            self.field, self.sum_table(a, b)))
+            self.field, characters.repfn_char_sums(self.field, self.sum(a, b))))
 
     def cauchy(self, a: str, b: str, c: str, d: str, lam: int) -> BoundReport:
         """bounds.cauchy_error_check of the error term at lam against w(a, b, lam)."""

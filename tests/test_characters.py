@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ffb.bounds import compute_V, compute_W
-from ffb.characters import char_eval, repfn_char_sums, set_char_sums
+from ffb.characters import CharSumTable, char_eval, repfn_char_sums, set_char_sums
 from ffb.errors import BadExponent, BadParam
 from ffb.field import field_mul, field_sub
 from ffb.instance import Instance
@@ -18,6 +18,17 @@ TOL = 1e-9
 
 def table_tol(field):
     return TOL * (field.q - 1)
+
+
+def assert_half_table(field, values, direct):
+    """values holds direct(j) for j <= M/2, M = q - 1, and direct(M - j) is
+    conj(values[j]): the half that W, V and the pair kernel read."""
+    m = field.q - 1
+    assert len(values) == m // 2 + 1
+    for j, value in enumerate(values):
+        assert abs(value - direct(j)) < table_tol(field)
+        if j > 0:
+            assert abs(direct(m - j) - np.conj(value)) < table_tol(field)
 
 
 def test_char_eval_at_zero(f5):
@@ -78,22 +89,19 @@ def test_set_char_sums_singleton_one(f7):
 def test_set_char_sums_matches_char_eval_loop(f7):
     squares = subset_from_codes(f7, [1, 2, 4])
     table = set_char_sums(f7, squares).values
-    for j in range(6):
-        direct = sum(char_eval(f7, j, x) for x in (1, 2, 4))
-        assert abs(table[j] - direct) < table_tol(f7)
+    assert_half_table(f7, table, lambda j: sum(char_eval(f7, j, x) for x in (1, 2, 4)))
 
 
 def test_set_char_sums_modulus_bound_and_conjugacy(f11):
-    m = f11.q - 1
     for idx in range(10):
         size = 1 + stream_value(13, idx) % f11.q
         a = realize(f11, SetSpec("random", (size,)), derive_seed(13, idx))
         table = set_char_sums(f11, a).values
         nonzero = a.size - (0 in a)
         assert (np.abs(table) <= nonzero + TOL).all()
-        for j in range(1, m):
-            # real weights force mirrored conjugate entries
-            assert abs(table[m - j] - np.conj(table[j])) < TOL
+        # real weights make the sum at M - j the conjugate of entry j
+        assert_half_table(f11, table, lambda j: sum(
+            char_eval(f11, j, x, "all_zero") for x in a.codes()))
 
 
 def test_repfn_char_sums_matches_loop(f7):
@@ -101,16 +109,13 @@ def test_repfn_char_sums_matches_loop(f7):
     r = RepFn(counts=counts)
     for shift in (0, 3):
         table = repfn_char_sums(f7, shift_repfn(f7, r, shift)).values
-        for j in range(6):
-            direct = sum(
-                counts[x] * char_eval(f7, j, field_sub(f7, x, shift), "all_zero")
-                for x in range(7)
-            )
-            assert abs(table[j] - direct) < table_tol(f7)
+        assert_half_table(f7, table, lambda j: sum(
+            counts[x] * char_eval(f7, j, field_sub(f7, x, shift), "all_zero")
+            for x in range(7)))
 
 
 def test_shifted_product_full_group_vanishes(f7):
-    table = Instance(f7, {"f": full_subset(f7)}).product_table("f", "f", 0).values
+    table = repfn_char_sums(f7, Instance(f7, {"f": full_subset(f7)}).shifted("f", "f", 0)).values
     assert np.abs(table[1:]).max() < table_tol(f7)
 
 
@@ -118,7 +123,7 @@ def test_shifted_product_singletons_unimodular(f7):
     a = subset_from_codes(f7, [2])
     b = subset_from_codes(f7, [3])
     # 2*3 - 1 = 5 != 0
-    table = Instance(f7, {"a": a, "b": b}).product_table("a", "b", 1).values
+    table = repfn_char_sums(f7, Instance(f7, {"a": a, "b": b}).shifted("a", "b", 1)).values
     assert np.allclose(np.abs(table), 1.0, atol=TOL)
 
 
@@ -140,28 +145,59 @@ def test_shifted_product_matches_double_loop(f7, f9, f16):
              lambda j: sum(counts[x] * chi(j, x) for x in range(q))),
             (repfn_char_sums(field, shift_repfn(field, RepFn(counts=counts), lam)),
              lambda j: sum(counts[x] * chi(j, field_sub(field, x, lam)) for x in range(q))),
-            (Instance(field, {"a": a, "b": b}).product_table("a", "b", lam),
+            (repfn_char_sums(field, Instance(field, {"a": a, "b": b}).shifted("a", "b", lam)),
              lambda j: sum(chi(j, field_sub(field, field_mul(field, x, y), lam))
                            for x in a.codes() for y in b.codes())),
         ]
         for table, direct in cases:
-            for j in range(q - 1):
-                assert abs(table.values[j] - direct(j)) < table_tol(field)
+            assert_half_table(field, table.values, direct)
 
 
 def test_tables_are_exactly_hermitian_and_extremes_sit_in_the_first_half(f7, f11, f16):
-    # one real FFT and its mirror: entry M - j is exactly conj(entry j), so
-    # |T(j)| = |T(M - j)| and the first maximum is at some j <= M/2
+    # a table is one real FFT, j <= M/2: the sum at M - j is conj(entry j),
+    # so |T(j)| = |T(M - j)| and the first maximum is at some j <= M/2;
+    # the self-conjugate entries j = 0 and j = M/2 are exactly real
     for field in (f7, f11, f16):
         m = field.q - 1
         for idx in range(10):
             a, b = (realize(field, SetSpec("random", (1 + stream_value(41, 2 * idx + s) % field.q,)),
                             derive_seed(41, field.q, idx, s)) for s in range(2))
             lam = stream_value(43, idx) % field.q
-            t_w = Instance(field, {"a": a, "b": b}).product_table("a", "b", lam)
-            t_v = repfn_char_sums(field, rep_sum(field, a, b))
-            for table in (set_char_sums(field, a).values, t_w.values, t_v.values):
-                assert table[0].imag == 0
-                assert np.array_equal(table[:0:-1], np.conj(table[1:]))
+            s_w = Instance(field, {"a": a, "b": b}).shifted("a", "b", lam)
+            t_w = repfn_char_sums(field, s_w)
+            r_v = rep_sum(field, a, b)
+            t_v = repfn_char_sums(field, r_v)
+            for table, weights in ((set_char_sums(field, a), a.membership),
+                                   (t_w, s_w.counts), (t_v, r_v.counts)):
+                assert table.values[0].imag == 0
+                if m % 2 == 0:
+                    assert table.values[m // 2].imag == 0
+                assert_half_table(field, table.values, lambda j: sum(
+                    weights[x] * char_eval(field, j, x, "all_zero") for x in range(field.q)))
             assert compute_W(field, t_w).argmax_j <= m / 2
             assert compute_V(field, t_v).argmax_j <= m / 2
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 16])
+def test_tables_hold_the_half_spectrum(q, request):
+    # M = q - 1 is odd at q = 2 and 16, even at q = 3 and 7
+    field = request.getfixturevalue(f"f{q}")
+    want = (q - 1) // 2 + 1
+    assert len(set_char_sums(field, full_subset(field)).values) == want
+    assert len(repfn_char_sums(field, RepFn(counts=np.ones(q, dtype=np.int64))).values) == want
+
+
+def test_instance_keeps_no_character_table(f13):
+    # a table is built where it is read: W, V and the pair kernels are kept,
+    # the tables they were built on are not
+    sets = {x: realize(f13, SetSpec("random", (6,)), derive_seed(47, slot))
+            for slot, x in enumerate("abcd")}
+    inst = Instance(f13, sets)
+    inst.bilinear_charform(*"abcd", 3)
+    inst.additive_charform(*"abcd")
+    inst.w("a", "b", 3)
+    inst.v("a", "b")
+    inst.cauchy(*"abcd", 4)
+    held = [*inst._memo.values(), *(value for _, value in inst._at_lam.values())]
+    assert len(held) > 5
+    assert not [value for value in held if isinstance(value, CharSumTable)]

@@ -580,6 +580,18 @@ def test_count_sweep_takes_no_transform_per_lambda(capsys, monkeypatch, tmp_path
     assert calls() == {"set_char_sums": 4}
 
 
+def test_bounds_builds_one_table_per_lambda_and_one_for_v(capsys, monkeypatch, tmp_path):
+    # W's table once per lambda, though the Cauchy check reads W again, and
+    # V's once; the error term comes from the exact count, which takes no table
+    names = ("set_char_sums", "repfn_char_sums")
+    calls = count_calls_everywhere(monkeypatch, names, tmp_path / "log")
+    sets = [arg for x in "abcd" for arg in (f"--{x}", "random:20")]
+    code, recs, _ = run_json(capsys, ["bounds", "--p", "101", *sets, "--lambda", "all",
+                                      "--no-timing"])
+    assert code == 0 and len(recs) == 100
+    assert calls() == {"repfn_char_sums": 101}
+
+
 def test_sumprod_builds_sumset_and_productset_once(capsys, monkeypatch, tmp_path):
     calls = count_calls_everywhere(monkeypatch, ("rep_sum", "rep_product"), tmp_path / "log")
     code, recs, _ = run_json(capsys, ["sumprod", "--p", "13", "--x", "random:5",
@@ -709,6 +721,16 @@ def test_selftest_small_grid(capsys):
     assert code == 0
     assert lines[-1] == "selftest: 8/8 criteria passed"
     assert all(ln.startswith("PASS ") for ln in lines[:-1])
+
+
+@pytest.mark.parametrize("flag, value, least", [("--tuples", "-1", 1), ("--tuples", "0", 1),
+                                                ("--q-max", "2", 3)])
+def test_selftest_refuses_a_run_that_checks_nothing(capsys, flag, value, least):
+    # no tuple, or no field of the grid (smallest q = 3), would pass all 8 criteria
+    assert run(["selftest", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ffb: {flag} must be >= {least}, got {value}\n"
 
 
 def test_broken_pipe_exits_without_traceback():

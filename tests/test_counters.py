@@ -14,7 +14,7 @@ from ffb.counters import (
     verify_sarkozy_identity,
 )
 from ffb.errors import BadParam, IntegerOverflow, RoundingDrift
-from ffb.field import field_add, field_mul, make_field
+from ffb.field import field_add, field_mul, make_field, mul_codes
 from ffb.instance import Instance
 from ffb.repfn import (
     RepFn,
@@ -253,3 +253,23 @@ def test_full_set_closed_forms_at_the_cap(p, k):
     for lam, want in ((0, (2 * q - 1) ** 2 + (q - 1) ** 3), (5, q ** 3 - q)):
         assert inst.bilinear("a", "b", "c", "d", lam) == want
         assert inst.bilinear("a", "b", "-c", "d", lam) == want
+
+
+@pytest.mark.parametrize("p, k", [(1048573, 1), (2, 20)])
+def test_scaling_identity_at_the_cap(p, k):
+    # t*a*b + t*c*d = t*lam exactly when a*b + c*d = lam, so
+    # N(tA, B, tC, D; t*lam) = N(A, B, C, D; lam) for t != 0, and the
+    # character route's half-table pair kernel agrees on both sides
+    field = make_field(p, k)
+    t, lam = 2, 5
+    sets = [realize(field, SetSpec("random", (field.q // 4,)), derive_seed(67, field.q, slot))
+            for slot in range(4)]
+    scaled = [subset_from_codes(field, mul_codes(field, t, x.codes())) if slot % 2 == 0 else x
+              for slot, x in enumerate(sets)]
+    counts = []
+    for xs, target in ((sets, lam), (scaled, field_mul(field, t, lam))):
+        inst = abcd(field, *xs)
+        n = inst.bilinear(*ABCD, target)
+        assert inst.bilinear_charform(*ABCD, target)[0] == n
+        counts.append(n)
+    assert counts[0] == counts[1] > 0

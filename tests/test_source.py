@@ -74,7 +74,7 @@ def test_fft_calls_sit_in_the_plans():
 
 
 def test_no_complex_transform_of_real_data():
-    # character tables are one real FFT and its mirror, and the F_{2^k}
+    # a character table is one real FFT's half spectrum, and the F_{2^k}
     # transform is BLAS products of Hadamard factors: no complex FFT of real
     # weights and no butterfly of np.stack levels
     found = [
