@@ -9,7 +9,7 @@ from .bounds import (
     solvability_threshold_check,
     vinogradov_bound,
 )
-from .characters import CharSumTable, char_eval, repfn_char_sums, set_char_sums
+from .characters import char_eval, repfn_char_sums, set_char_sums
 from .counters import (
     additive_count,
     count_additive_charform,

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import CharSumTable
 from .errors import InvariantViolation, LambdaZero, NoNontrivialCharacter
 from .field import FieldSpec
 from .repfn import FqSubset
@@ -51,12 +50,12 @@ class BoundReport:
     empirical_delta: float | None = None
 
 
-def _extremal(field: FieldSpec, t: CharSumTable) -> BoundReport:
+def _extremal(field: FieldSpec, t: np.ndarray) -> BoundReport:
     """The max modulus over nontrivial characters of t, and its first index:
     |S(q-1-j)| = |S(j)| exactly, so both lie in t's half, j <= (q-1)/2."""
     if field.q < 3:
         raise NoNontrivialCharacter(f"q = {field.q} has only the trivial character")
-    mods = np.abs(t.values[1:])
+    mods = np.abs(t[1:])
     j = int(np.argmax(mods)) + 1
     return BoundReport(w_or_v=float(mods[j - 1]), argmax_j=j)
 
@@ -67,13 +66,13 @@ def _ratio(measured: float, bound: float) -> float:
     return 0.0 if measured == 0.0 else math.inf
 
 
-def compute_W(field: FieldSpec, t: CharSumTable) -> BoundReport:
+def compute_W(field: FieldSpec, t: np.ndarray) -> BoundReport:
     """W from t = repfn_char_sums of Instance.shifted(a, b, lam): the max
     modulus over nontrivial characters of sum of chi(a*b - lam)."""
     return _extremal(field, t)
 
 
-def compute_V(field: FieldSpec, t: CharSumTable) -> BoundReport:
+def compute_V(field: FieldSpec, t: np.ndarray) -> BoundReport:
     """V from t = repfn_char_sums of Instance.sum(a, b): the max modulus
     over nontrivial characters of sum of chi(a + b)."""
     return _extremal(field, t)

@@ -3,38 +3,37 @@
 Each counter exists in two independent routes: an exact integer route
 built on representation functions, and a character route that recovers
 the same integer from character-sum tables.  The two must agree exactly.
-main_and_error splits an exact count into the trivial character's main
-term and the error term, which the bound checks consume; the character
-route returns that split of its own certified integer.
-
-Character identities here use the all-zero convention (no character sees
-the zero element), so tuples where a product vanishes are counted
-separately by closed-form combinatorics and re-added at the end.
+main_and_error splits a count into the trivial character's main term and
+the error term, which the bound checks consume; the character route
+returns that split of its own certified integer.
 
 Each identity is written once, on its pieces: representation functions
-and character tables, which ffb.instance.Instance builds once per
-instance.  The target lam enters a bilinear count in one place, the shift
-s[y] = r_AB[y + lam] (repfn.shift_repfn), which both routes take, as
-they take -C.  The routes differ only in how the pair count over -C and D
-is formed: the exact route convolves the sets (r_{(-C)D}), the character
-route sums the tables S_{-C} and S_D over every character (pair_kernel).
-Neither depends on lam, and both end in the same exact dot with s.
-Instance.bilinear builds r_AB and r_{(-C)D} together, from one packed
-transform plan (repfn.rep_products); count_bilinear builds the exact
-route's pieces afresh from the sets, one rep_product each.
+and pair kernels, which ffb.instance.Instance builds once per instance.
+The target lam enters a bilinear count in one place, the shift
+s[y] = r_AB[y + lam] (repfn.shift_repfn), which both routes take.  The
+routes differ only in how the pair function r_{(-C)D}[y] =
+#{(x, z) in (-C) x D : x*z = y} is formed: the exact route convolves the
+sets (rep_product), the character route sums the tables S_{-C} and S_D
+over every character (pair_kernel); both take its zero row from one
+closed form (repfn._product_repfn).  Neither depends on lam, both end in
+the same exact dot with s, and main_and_error reads only s and the pair
+function.  Instance.bilinear builds r_AB and r_{(-C)D} together, from one
+packed transform plan (repfn.rep_products); count_bilinear builds the
+exact route's pieces afresh from the sets, one rep_product each.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .characters import CharSumTable
+from . import characters
 from .errors import BadParam, IntegerOverflow, RoundingDrift
 from .field import FieldSpec
 from .repfn import (
     INT64_LIMIT,
     FqSubset,
     RepFn,
+    _product_repfn,
     additive_convolve,
     entry_bound,
     negate_subset,
@@ -60,7 +59,8 @@ def additive_count(r: RepFn, rho: RepFn) -> int:
     shifted by lam and r_{(-C)D} (the pairs with a*b - lam = y number
     r_AB[y + lam], those with (-c)*d = y number r_{(-C)D}[y]).
 
-    Raises IntegerOverflow unless entry_bound(r, rho) < 2^63, so np.dot cannot wrap."""
+    Raises BadParam for a negative count, and IntegerOverflow unless
+    entry_bound(r, rho) < 2^63, so np.dot cannot wrap."""
     return _inner_product(r, rho)
 
 
@@ -73,24 +73,26 @@ def _inner_product(r: RepFn, rho: RepFn) -> int:
     return int(np.dot(r.counts, rho.counts))
 
 
-def main_and_error(field: FieldSpec, s: RepFn, c: FqSubset, d: FqSubset,
-                   n: int) -> tuple[float, float]:
-    """(main, err) of the exact n = sum over y of s[y] * #{(x, z) in C x D : y = x*z}.
+def main_and_error(field: FieldSpec, s: RepFn, pair: RepFn, n: int) -> tuple[float, float]:
+    """(main, err) of n = sum over y of s[y] * pair[y], where pair is r_XY:
+    pair[y] = #{(x, z) in X x Y : x*z = y}.
 
-    The s[0] * C.zero_product_pairs(D) tuples with x*z = 0 are left out;
-    of the rest, main = (sum(s) - s[0]) * #C* * #D* / (q - 1) is the trivial
-    character's share and err the nontrivial characters' share.
+    The s[0] * pair[0] tuples with x*z = 0 are left out.  Of the rest,
+    main = (sum(s) - s[0]) * (sum(pair) - pair[0]) / (q - 1) is the trivial
+    character's share and err the nontrivial characters' share;
+    sum(pair) - pair[0] is #X* * #Y*, since x*z != 0 exactly when x != 0
+    and z != 0.
     """
-    s_zero = int(s.counts[0])
-    main = (s.total() - s_zero) * c.star_size() * d.star_size() / (field.q - 1)
-    return main, (n - s_zero * c.zero_product_pairs(d)) - main
+    s_zero, pair_zero = int(s.counts[0]), int(pair.counts[0])
+    main = (s.total() - s_zero) * (pair.total() - pair_zero) / (field.q - 1)
+    return main, (n - s_zero * pair_zero) - main
 
 
-def pair_kernel(field: FieldSpec, s_x: CharSumTable, s_y: CharSumTable) -> RepFn:
-    """counts[y] = #{(x, z) in X x Y : x*z = y} for y != 0, and counts[0] = 0,
-    from the character tables S_X and S_Y alone: the character route's r*_XY.
+def pair_kernel(field: FieldSpec, x: FqSubset, y: FqSubset) -> RepFn:
+    """counts[z] = #{(u, v) in X x Y : u*v = z} from the character tables S_X
+    and S_Y (characters.set_char_sums): the character route's r_XY.
 
-    Summing over the characters first, orthogonality gives at y = g^t
+    Summing over the characters first, orthogonality gives at z = g^t != 0
 
         K(t) = (1/(q-1)) * sum_j conj(S_X(j)) * conj(S_Y(j)) * e(2*pi*i*j*t/(q-1))
 
@@ -98,53 +100,48 @@ def pair_kernel(field: FieldSpec, s_x: CharSumTable, s_y: CharSumTable) -> RepFn
     is all a table holds: conj(S_X(j)) is rfft of X's weights in dlog
     order.  Each entry is an integer of at most min(#X*, #Y*); the largest
     residual from one must stay below ROUND_TOL or RoundingDrift is raised.
+    The zero row is rep_product's closed form, X.zero_product_pairs(Y).
     """
-    m = field.q - 1
-    k = np.fft.irfft(np.conj(s_x.values * s_y.values), n=m)
+    k = np.fft.irfft(np.conj(characters.set_char_sums(field, x)
+                            * characters.set_char_sums(field, y)), n=field.q - 1)
     rounded = np.rint(k)
     drift = np.abs(k - rounded)
     t = int(drift.argmax())
     if drift[t] > ROUND_TOL:
         raise RoundingDrift(f"pair kernel entry {k[t]!r} at t = {t} is {drift[t]:.3e} "
                             "from an integer")
-    counts = np.zeros(field.q, dtype=np.int64)
-    counts[field.exp] = rounded
-    counts.flags.writeable = False
-    return RepFn(counts=counts)
+    return _product_repfn(field, x, y, rounded)
 
 
-def _charform(field: FieldSpec, s: RepFn, c: FqSubset, d: FqSubset,
-              k_cd: RepFn) -> tuple[int, float, float]:
-    """Character route for n = sum over y of s[y] * #{(x, z) in C x D : y = x*z}:
-    (n, *main_and_error(field, s, c, d, n)).
+def _charform(field: FieldSpec, s: RepFn, k: RepFn) -> tuple[int, float, float]:
+    """Character route for n = sum over y of s[y] * k[y], k = pair_kernel(field,
+    X, Y): (n, *main_and_error(field, s, k, n)).
 
-    Tuples with x*z = 0 are counted exactly; the rest are the exact dot of
-    s with k_cd = pair_kernel(field, S_C, S_D), as in additive_count, and
-    k_cd's gate certifies n; main and err come from it.
+    n is the exact dot of s with k, as in additive_count, and k's gate
+    certifies it; main and err come from it.
     """
-    n = _inner_product(s, k_cd) + int(s.counts[0]) * c.zero_product_pairs(d)
-    return (n, *main_and_error(field, s, c, d, n))
+    n = _inner_product(s, k)
+    return (n, *main_and_error(field, s, k, n))
 
 
-def count_bilinear_charform(field: FieldSpec, s_ab: RepFn, neg_c: FqSubset, d: FqSubset,
+def count_bilinear_charform(field: FieldSpec, s_ab: RepFn,
                             k_cd: RepFn) -> tuple[int, float, float]:
     """Character-route count of a*b + c*d = lam; returns (n, main, err).
 
     a*b + c*d = lam is the same event as a*b - lam = (-c)*d, so this is
-    the character route on s_ab = r_AB shifted by lam against -C and D:
-    k_cd = pair_kernel(field, S_{-C}, S_D).
+    the character route on s_ab = r_AB shifted by lam against
+    k_cd = pair_kernel(field, -C, D).
     """
-    return _charform(field, s_ab, neg_c, d, k_cd)
+    return _charform(field, s_ab, k_cd)
 
 
-def count_additive_charform(field: FieldSpec, r_sum: RepFn, c: FqSubset, d: FqSubset,
+def count_additive_charform(field: FieldSpec, r_sum: RepFn,
                             k_cd: RepFn) -> tuple[int, float, float]:
     """Character-route count of a + b = c*d; returns (t, main, err).
 
-    The character route on r_{A+B} against C and D:
-    k_cd = pair_kernel(field, S_C, S_D).
+    The character route on r_{A+B} against k_cd = pair_kernel(field, C, D).
     """
-    return _charform(field, r_sum, c, d, k_cd)
+    return _charform(field, r_sum, k_cd)
 
 
 def fold_products(field: FieldSpec, reps: list[RepFn]) -> RepFn:

@@ -5,10 +5,11 @@ The counters, bounds and sum-product counts write each identity once, on
 its pieces (representation functions, derived sets, pair kernels), which
 an Instance builds lazily from the named sets.  The target lam
 enters through one piece, r_XY shifted by lam, taken by the exact count,
-the character route and W; the character route's other piece, the pair
-kernel, is built once and no lam changes it, so a count at another lam
-takes no transform.  The bound checks read main and err off the exact
-count (main_and_error), never off the character route.  The exact count
+the character route and W.  A count's other piece, its pair function, is
+the exact route's product or the character route's pair kernel, built
+once; no lam changes it, so a count at another lam takes no transform.
+The bound checks read main and err off the exact count and its product
+(main_and_error), never off the character route.  The exact count
 builds r_AB and r_{(-C)D} together, two products from one packed transform
 plan (repfn.rep_products), as fold does for its pairs.  A piece that
 depends on lam is kept for one lam at a time: asking for it at another
@@ -111,11 +112,11 @@ class Instance:
             self.field, self.product(x, y), lam))
 
     def pair_kernel(self, x: str, y: str) -> RepFn:
-        """counters.pair_kernel of the named sets' character tables: the
-        character route's r*_XY, which no shift changes."""
+        """counters.pair_kernel of the named sets: the character route's
+        r_XY, which no shift changes."""
         x, y = self._name(x), self._name(y)
         return self._once(("K", x, y), lambda: counters.pair_kernel(
-            self.field, *(characters.set_char_sums(self.field, self.subset(z)) for z in (x, y))))
+            self.field, self.subset(x), self.subset(y)))
 
     # ------------------------------------------------------------------
     # identities on those pieces
@@ -134,17 +135,16 @@ class Instance:
     def bilinear_charform(self, a: str, b: str, c: str, d: str,
                           lam: int) -> tuple[int, float, float]:
         """counters.count_bilinear_charform of a*b + c*d = lam: (n, main, err)."""
-        neg_c = "-" + c
         return counters.count_bilinear_charform(
-            self.field, self.shifted(a, b, lam), self.subset(neg_c), self.subset(d),
-            self.pair_kernel(neg_c, d))
+            self.field, self.shifted(a, b, lam), self.pair_kernel("-" + c, d))
 
     def main_and_error(self, a: str, b: str, c: str, d: str, lam: int) -> tuple[float, float]:
-        """counters.main_and_error of the exact bilinear(a, b, c, d, lam): no
-        table.  n comes first, so that its two products are built together."""
+        """counters.main_and_error of the exact bilinear(a, b, c, d, lam) on
+        product("-" + c, d): no table.  n comes first, so that its two
+        products are built together."""
         n = self.bilinear(a, b, c, d, lam)
         return counters.main_and_error(
-            self.field, self.shifted(a, b, lam), self.subset("-" + c), self.subset(d), n)
+            self.field, self.shifted(a, b, lam), self.product("-" + c, d), n)
 
     def additive(self, a: str, b: str, c: str, d: str) -> int:
         """#{a + b = c*d} over the named sets, exact."""
@@ -153,7 +153,7 @@ class Instance:
     def additive_charform(self, a: str, b: str, c: str, d: str) -> tuple[int, float, float]:
         """counters.count_additive_charform of a + b = c*d: (t, main, err)."""
         return counters.count_additive_charform(
-            self.field, self.sum(a, b), self.subset(c), self.subset(d), self.pair_kernel(c, d))
+            self.field, self.sum(a, b), self.pair_kernel(c, d))
 
     def w(self, a: str, b: str, lam: int) -> BoundReport:
         """bounds.compute_W at lam, on the table of shifted(a, b, lam)."""

@@ -125,7 +125,10 @@ class RepFn:
 
 def entry_bound(r1: RepFn, r2: RepFn) -> int:
     """min(sum(r1) max(r2), sum(r2) max(r1)), exact: for nonnegative counts, a
-    bound on their inner product and on every entry of their convolutions."""
+    bound on their inner product and on every entry of their convolutions.
+    Raises BadParam for a negative count, where it bounds neither."""
+    if min(r1.counts.min(), r2.counts.min()) < 0:
+        raise BadParam("counts must be nonnegative")
     return min(r1.total() * int(r2.counts.max()), r2.total() * int(r1.counts.max()))
 
 
@@ -547,8 +550,6 @@ def additive_convolve(field: FieldSpec, r1: RepFn, r2: RepFn) -> RepFn:
     wrapping int64, ring arithmetic mod 2^64 that yields the true entry once
     it is below 2^63.
     """
-    if min(r1.counts.min(), r2.counts.min()) < 0:
-        raise BadParam("additive_convolve: counts must be nonnegative")
     bound = entry_bound(r1, r2)
     if bound >= INT64_LIMIT:
         raise IntegerOverflow(f"convolution entry bound {bound} exceeds the exact int64 range")

@@ -182,8 +182,6 @@ def criterion_proven_bounds(q_max: int = 13, tuples: int = GRID_TUPLES,
     """Square-root bounds on W and V and the Cauchy error bound all hold."""
     checked = 0
     for field in grid_fields(q_max):
-        if field.q < 3:
-            continue
         for idx in range(tuples):
             a, b, c, d = grid_tuple(field, idx, 4, base_seed)
             inst = Instance(field, dict(zip(ABCD, (a, b, c, d))))

@@ -48,8 +48,7 @@ def oracle_w(field, a, b, lam):
     best = 0.0
     for j in range(1, field.q - 1):
         total = sum(
-            char_eval(field, j, field_sub(field, field_mul(field, int(x), int(y)), lam),
-                      "all_zero")
+            char_eval(field, j, field_sub(field, field_mul(field, int(x), int(y)), lam))
             for x in a.codes() for y in b.codes()
         )
         best = max(best, abs(total))
@@ -60,7 +59,7 @@ def oracle_v(field, a, b):
     best = 0.0
     for j in range(1, field.q - 1):
         total = sum(
-            char_eval(field, j, field_add(field, int(x), int(y)), "all_zero")
+            char_eval(field, j, field_add(field, int(x), int(y)))
             for x in a.codes() for y in b.codes()
         )
         best = max(best, abs(total))

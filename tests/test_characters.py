@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from ffb.bounds import compute_V, compute_W
-from ffb.characters import CharSumTable, char_eval, repfn_char_sums, set_char_sums
-from ffb.errors import BadExponent, BadParam
+from ffb.characters import char_eval, repfn_char_sums, set_char_sums
+from ffb.errors import BadExponent
 from ffb.field import field_mul, field_sub
 from ffb.instance import Instance
 from ffb.repfn import RepFn, full_subset, rep_sum, shift_repfn, subset_from_codes
@@ -32,9 +32,9 @@ def assert_half_table(field, values, direct):
 
 
 def test_char_eval_at_zero(f5):
-    assert char_eval(f5, 0, 0) == 1
+    # every character, the trivial one included, is 0 at zero, as in the tables
+    assert char_eval(f5, 0, 0) == 0
     assert char_eval(f5, 3, 0) == 0
-    assert char_eval(f5, 0, 0, zero_convention="all_zero") == 0
 
 
 def test_char_eval_known_value(f5):
@@ -48,8 +48,6 @@ def test_char_eval_rejects_bad_arguments(f5):
         char_eval(f5, 4, 1)
     with pytest.raises(BadExponent):
         char_eval(f5, -1, 1)
-    with pytest.raises(BadParam):
-        char_eval(f5, 1, 1, zero_convention="sometimes")
 
 
 def test_char_eval_is_multiplicative(f13, f16):
@@ -76,19 +74,19 @@ def test_orthogonality_relations(f9):
 
 
 def test_set_char_sums_full_group(f7):
-    table = set_char_sums(f7, full_subset(f7)).values
+    table = set_char_sums(f7, full_subset(f7))
     assert table[0] == pytest.approx(6)
     assert np.abs(table[1:]).max() < table_tol(f7)
 
 
 def test_set_char_sums_singleton_one(f7):
-    table = set_char_sums(f7, subset_from_codes(f7, [1])).values
+    table = set_char_sums(f7, subset_from_codes(f7, [1]))
     assert np.allclose(table, 1.0, atol=TOL)
 
 
 def test_set_char_sums_matches_char_eval_loop(f7):
     squares = subset_from_codes(f7, [1, 2, 4])
-    table = set_char_sums(f7, squares).values
+    table = set_char_sums(f7, squares)
     assert_half_table(f7, table, lambda j: sum(char_eval(f7, j, x) for x in (1, 2, 4)))
 
 
@@ -96,26 +94,26 @@ def test_set_char_sums_modulus_bound_and_conjugacy(f11):
     for idx in range(10):
         size = 1 + stream_value(13, idx) % f11.q
         a = realize(f11, SetSpec("random", (size,)), derive_seed(13, idx))
-        table = set_char_sums(f11, a).values
+        table = set_char_sums(f11, a)
         nonzero = a.size - (0 in a)
         assert (np.abs(table) <= nonzero + TOL).all()
         # real weights make the sum at M - j the conjugate of entry j
         assert_half_table(f11, table, lambda j: sum(
-            char_eval(f11, j, x, "all_zero") for x in a.codes()))
+            char_eval(f11, j, x) for x in a.codes()))
 
 
 def test_repfn_char_sums_matches_loop(f7):
     counts = np.array([stream_value(17, t) % 5 for t in range(7)], dtype=np.int64)
     r = RepFn(counts=counts)
     for shift in (0, 3):
-        table = repfn_char_sums(f7, shift_repfn(f7, r, shift)).values
+        table = repfn_char_sums(f7, shift_repfn(f7, r, shift))
         assert_half_table(f7, table, lambda j: sum(
-            counts[x] * char_eval(f7, j, field_sub(f7, x, shift), "all_zero")
+            counts[x] * char_eval(f7, j, field_sub(f7, x, shift))
             for x in range(7)))
 
 
 def test_shifted_product_full_group_vanishes(f7):
-    table = repfn_char_sums(f7, Instance(f7, {"f": full_subset(f7)}).shifted("f", "f", 0)).values
+    table = repfn_char_sums(f7, Instance(f7, {"f": full_subset(f7)}).shifted("f", "f", 0))
     assert np.abs(table[1:]).max() < table_tol(f7)
 
 
@@ -123,7 +121,7 @@ def test_shifted_product_singletons_unimodular(f7):
     a = subset_from_codes(f7, [2])
     b = subset_from_codes(f7, [3])
     # 2*3 - 1 = 5 != 0
-    table = repfn_char_sums(f7, Instance(f7, {"a": a, "b": b}).shifted("a", "b", 1)).values
+    table = repfn_char_sums(f7, Instance(f7, {"a": a, "b": b}).shifted("a", "b", 1))
     assert np.allclose(np.abs(table), 1.0, atol=TOL)
 
 
@@ -137,7 +135,7 @@ def test_shifted_product_matches_double_loop(f7, f9, f16):
         lam = 1 + stream_value(37, q) % (q - 1)
 
         def chi(j, x):
-            return char_eval(field, j, x, "all_zero")
+            return char_eval(field, j, x)
 
         cases = [
             (set_char_sums(field, a), lambda j: sum(chi(j, x) for x in a.codes())),
@@ -150,7 +148,7 @@ def test_shifted_product_matches_double_loop(f7, f9, f16):
                            for x in a.codes() for y in b.codes())),
         ]
         for table, direct in cases:
-            assert_half_table(field, table.values, direct)
+            assert_half_table(field, table, direct)
 
 
 def test_tables_are_exactly_hermitian_and_extremes_sit_in_the_first_half(f7, f11, f16):
@@ -169,11 +167,11 @@ def test_tables_are_exactly_hermitian_and_extremes_sit_in_the_first_half(f7, f11
             t_v = repfn_char_sums(field, r_v)
             for table, weights in ((set_char_sums(field, a), a.membership),
                                    (t_w, s_w.counts), (t_v, r_v.counts)):
-                assert table.values[0].imag == 0
+                assert table[0].imag == 0
                 if m % 2 == 0:
-                    assert table.values[m // 2].imag == 0
-                assert_half_table(field, table.values, lambda j: sum(
-                    weights[x] * char_eval(field, j, x, "all_zero") for x in range(field.q)))
+                    assert table[m // 2].imag == 0
+                assert_half_table(field, table, lambda j: sum(
+                    weights[x] * char_eval(field, j, x) for x in range(field.q)))
             assert compute_W(field, t_w).argmax_j <= m / 2
             assert compute_V(field, t_v).argmax_j <= m / 2
 
@@ -183,13 +181,13 @@ def test_tables_hold_the_half_spectrum(q, request):
     # M = q - 1 is odd at q = 2 and 16, even at q = 3 and 7
     field = request.getfixturevalue(f"f{q}")
     want = (q - 1) // 2 + 1
-    assert len(set_char_sums(field, full_subset(field)).values) == want
-    assert len(repfn_char_sums(field, RepFn(counts=np.ones(q, dtype=np.int64))).values) == want
+    assert len(set_char_sums(field, full_subset(field))) == want
+    assert len(repfn_char_sums(field, RepFn(counts=np.ones(q, dtype=np.int64)))) == want
 
 
 def test_instance_keeps_no_character_table(f13):
-    # a table is built where it is read: W, V and the pair kernels are kept,
-    # the tables they were built on are not
+    # a table, a complex array, is built where it is read: W, V and the
+    # pair kernels are kept, the tables they were built on are not
     sets = {x: realize(f13, SetSpec("random", (6,)), derive_seed(47, slot))
             for slot, x in enumerate("abcd")}
     inst = Instance(f13, sets)
@@ -200,4 +198,5 @@ def test_instance_keeps_no_character_table(f13):
     inst.cauchy(*"abcd", 4)
     held = [*inst._memo.values(), *(value for _, value in inst._at_lam.values())]
     assert len(held) > 5
-    assert not [value for value in held if isinstance(value, CharSumTable)]
+    assert not [value for value in held
+                if isinstance(value, np.ndarray) and np.iscomplexobj(value)]

@@ -222,6 +222,16 @@ def test_usage_errors_exit_2(capsys):
         capsys.readouterr()
 
 
+def test_unparsable_numbers_exit_2_naming_the_input(capsys):
+    assert run(COUNT_ARGS[:1] + ["--p", "2", "--k", "2", "--modulus", "1,x,1"]
+               + COUNT_ARGS[3:]) == 2
+    assert capsys.readouterr().err == \
+        "ffb: --modulus must be comma separated integers, got '1,x,1'\n"
+    assert run(COUNT_ARGS[:3] + ["--a", "random:abc"] + COUNT_ARGS[5:]) == 2
+    assert capsys.readouterr().err == \
+        "ffb: BadParam: random: expected comma-separated integers, got 'abc'\n"
+
+
 def op_parsers():
     """(op, the parser of ffb op, the parser of ffb scan --op op) for every op."""
     (sub,) = [a for a in ffb.cli._build_parser()._actions

@@ -84,14 +84,14 @@ def test_charform_matches_exact_count(f7):
             assert abs((main + err) - round(main + err)) < 1e-6
 
 
-def test_pair_kernel_is_the_product_off_zero(f7, f9, f16):
-    # the character route's pair counts are r_CD with the zero row left out
+def test_pair_kernel_is_the_product(f7, f9, f16):
+    # the character route's pair counts are r_CD at every code, zero included
     for field in (f7, f9, f16):
         for idx in range(10):
             c, d = seeded_sets(field, derive_seed(43, idx), 2)
             inst = Instance(field, {"c": c, "d": d})
             kernel, product = inst.pair_kernel("c", "d").counts, inst.product("c", "d").counts
-            assert kernel[0] == 0 and (kernel[1:] == product[1:]).all()
+            assert (kernel == product).all()
 
 
 def test_count_additive_known_values(f5):
@@ -259,7 +259,7 @@ def test_full_set_closed_forms_at_the_cap(p, k):
 def test_scaling_identity_at_the_cap(p, k):
     # t*a*b + t*c*d = t*lam exactly when a*b + c*d = lam, so
     # N(tA, B, tC, D; t*lam) = N(A, B, C, D; lam) for t != 0, and the
-    # character route's half-table pair kernel agrees on both sides
+    # character route's half-table pair kernel is r_{(-C)D} on both sides
     field = make_field(p, k)
     t, lam = 2, 5
     sets = [realize(field, SetSpec("random", (field.q // 4,)), derive_seed(67, field.q, slot))
@@ -271,5 +271,6 @@ def test_scaling_identity_at_the_cap(p, k):
         inst = abcd(field, *xs)
         n = inst.bilinear(*ABCD, target)
         assert inst.bilinear_charform(*ABCD, target)[0] == n
+        assert (inst.pair_kernel("-c", "d").counts == inst.product("-c", "d").counts).all()
         counts.append(n)
     assert counts[0] == counts[1] > 0

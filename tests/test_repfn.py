@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import ffb.repfn
 
-from ffb.counters import count_bilinear
+from ffb.counters import additive_count, count_bilinear
 from ffb.errors import BadParam, IntegerOverflow
 from ffb.field import field_add, field_inv, field_mul, field_neg, make_field
 from ffb.instance import Instance
@@ -363,6 +363,13 @@ def test_additive_convolve_refuses_negative_counts(f7, f16):
             additive_convolve(field, RepFn(counts=signed), ones)
 
 
+def test_additive_count_refuses_negative_counts():
+    # entry_bound is no bound for signed counts: this dot is 3 * 2^62, which
+    # int64 wraps to -2^62, yet its bound min(2^62 * 3, 0 * 2^62) is 0
+    with pytest.raises(BadParam):
+        additive_count(RepFn(counts=np.array([1 << 62, 0])), RepFn(counts=np.array([3, -3])))
+
+
 def stack_walsh_hadamard(a):
     """The butterfly int64 Walsh-Hadamard transform, one np.stack per level."""
     h = 1
@@ -415,6 +422,29 @@ def test_walsh_hadamard_twice_is_q_times_the_input(k, bits, seed):
     assert np.array_equal(_walsh_hadamard(_walsh_hadamard(x)), x * q)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 8), st.integers(1, 256), st.floats(0, 1), st.booleans(),
+       st.integers(0, 1 << 32))
+def test_xor_convolve_splits_a_mass_past_2_to_63(k, nnz, load, flip, seed):
+    # u has nnz heavy entries, v is dense with entries in [c/2, c]: the mass
+    # su sv reaches 2^63, so one operand is split into limbs, while every
+    # entry stays below su c < 2^63; the butterfly oracle runs on Python ints
+    rng = np.random.default_rng(seed)
+    q = 1 << k
+    nnz = min(nnz, q)
+    c = 2 + int(load * ((1 << 62) // (q * nnz) - 2))
+    v = rng.integers(c // 2, c + 1, q, dtype=np.int64)
+    sv = int(v.sum())
+    lo, hi = max(nnz, -(-(1 << 63) // sv)), ((1 << 63) - 1) // int(v.max())
+    su = lo + int(rng.integers(0, hi - lo + 1))
+    u = np.zeros(q, dtype=np.int64)
+    u[rng.choice(q, nnz, replace=False)] = spread_mass(rng, nnz, su - nnz) + 1
+    assert exact_sum(u) * sv >= 1 << 63
+    u, v = (v, u) if flip else (u, v)
+    assert _xor_convolve(u, v).tolist() == \
+        stack_xor_convolve(u.astype(object), v.astype(object)).tolist()
+
+
 def test_xor_convolve_refuses_q_above_2_to_26():
     # broadcast views take no memory: the refusal must come before any allocation
     with pytest.raises(IntegerOverflow, match="2\\^26"):
@@ -452,6 +482,22 @@ def test_packed_plan_matches_limb_plan_and_oracle(m, top, du, dv, seed):
     assert packed is not None
     assert packed.dtype == np.int64
     assert packed.tolist() == limbs.tolist() == cyclic_oracle(u, v, m).tolist()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(1, 500), st.integers(1, 4), st.lists(st.floats(0, 1), min_size=4, max_size=4),
+       st.integers(0, 1 << 32))
+def test_paired_plan_matches_limb_plan_and_oracle(m, top, densities, seed):
+    # two pairs of indicator vectors (top = 1) or small counts, at every
+    # density; up to m = 500 with entries up to 4 the plan certifies them
+    rng = np.random.default_rng(seed)
+    u1, v1, u2, v2 = ((rng.random(m) < d) * rng.integers(1, top + 1, m) for d in densities)
+    pair = packed_two(u1, v1, u2, v2, m)
+    assert pair is not None
+    for out, (u, v) in zip(pair, ((u1, v1), (u2, v2))):
+        assert out.dtype == np.int64
+        assert out.tolist() == _limb_convolve(u, v, m, padded_size(m)).tolist() \
+            == cyclic_oracle(u, v, m).tolist()
 
 
 def test_packed_plan_at_full_digit_loads():

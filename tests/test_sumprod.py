@@ -54,6 +54,13 @@ def test_sumset_productset_known_values(f5, f7):
     assert xy(f7, star, star).subset("x*y").codes().tolist() == list(range(1, 7))
 
 
+def test_an_unknown_set_name_is_a_key_error(f5):
+    one = subset_from_codes(f5, [1])
+    for name in ("zz", "-zz", "x+zz"):
+        with pytest.raises(KeyError, match="zz"):
+            xy(f5, one, one).subset(name)
+
+
 def test_set_sizes_bounded(f11):
     for idx in range(20):
         x, y = seeded_pair(f11, derive_seed(97, idx))
