@@ -75,17 +75,17 @@ def _declare(parser: argparse.ArgumentParser, op: str, scan: bool) -> argparse.A
     return parser
 
 
-# Built once per process: parse_args does not change the parser, and each
+# Built once per process: parse_args does not change the parsers, and each
 # build takes milliseconds and leaves cyclic garbage (argparse's
 # per-argument HelpFormatter checks) until the next full collection.
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and, by op, the subparser it declares for that op."""
     top = argparse.ArgumentParser(prog="ffb", description=__doc__.splitlines()[0])
     top.add_argument("--script", type=str, default=None,
                      help="file of command lines to replay; other args ignored")
     sub = top.add_subparsers(dest="op")
-    for op in OPS:
-        _declare(sub.add_parser(op), op, False)
+    ops = {op: _declare(sub.add_parser(op), op, False) for op in OPS}
     # scan holds only --op; the rest, --help and set h's --h included, goes to _scan_parser
     sub.add_parser("scan", add_help=False, allow_abbrev=False).add_argument(
         "--op", dest="scan_op", required=True, choices=tuple(OPS))
@@ -95,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tuples", type=int, default=None)  # None: selfcheck.GRID_TUPLES
     p.add_argument("--seed", type=int, default=0)
 
-    return top
+    return top, ops
 
 
 @functools.cache
@@ -437,10 +437,22 @@ def _join_negated(argv: list[str]) -> list[str]:
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Parse argv and execute; returns the process exit code."""
-    parser = _build_parser()
+    """Parse argv and execute; returns the process exit code.
+
+    An argv that starts with an op is parsed once, by that op's subparser,
+    into the namespace the top-level parser would have made; no argv, -h,
+    --script, scan, selftest and unknown ops go through the top-level
+    parser.  Either way unrecognised arguments are reported by the
+    top-level parser, so its usage line heads the message.
+    """
+    parser, op_parsers = _parsers()
+    argv = _join_negated(sys.argv[1:] if argv is None else argv)
     try:
-        args, rest = parser.parse_known_args(_join_negated(sys.argv[1:] if argv is None else argv))
+        if argv and argv[0] in op_parsers:
+            args, rest = op_parsers[argv[0]].parse_known_args(
+                argv[1:], argparse.Namespace(script=None, op=argv[0]))
+        else:
+            args, rest = parser.parse_known_args(argv)
         if args.op == "scan":
             _scan_parser(args.scan_op).parse_args(rest, namespace=args)
         elif rest:

@@ -21,6 +21,8 @@ The exp table is built by doubling: for k = 1 entries [n, 2n) are entries
 [0, n) times g^n mod p in int64; for k > 1 rows [n, 2n) of its digits are
 rows [0, n) times the matrix of g^n, and then in blocks.  Every float
 product and reduction mod p in these steps is an exact integer operation.
+The dlog table, its inverse, is built from exp the first time it is read;
+the CLI commands never read it.
 
 The scalar functions (field_add ... field_inv) are honest polynomial
 arithmetic, independent of the tables; the test suite checks the tables
@@ -30,6 +32,8 @@ built on the tables.
 
 from __future__ import annotations
 
+import functools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +46,12 @@ DESK_CAP = 1 << 20
 
 @dataclass(frozen=True, eq=False)
 class FieldSpec:
-    """Immutable description of F_q with its dlog/exp tables.
+    """Immutable description of F_q with its exp table and, on demand, dlog.
 
-    dlog has length q with dlog[0] = -1 (zero has no discrete log) and
-    dlog[generator^t mod modulus] = t.  exp has length q - 1 with
-    exp[t] = generator^t, so exp is a permutation of the nonzero codes.
+    exp has length q - 1 with exp[t] = generator^t, so exp is a permutation
+    of the nonzero codes.  dlog has length q with dlog[0] = -1 (zero has
+    no discrete log) and dlog[generator^t mod modulus] = t; it is built
+    from exp on first read and kept, read-only like exp.
     """
 
     p: int
@@ -54,16 +59,50 @@ class FieldSpec:
     q: int
     modulus: tuple[int, ...]
     generator: int
-    dlog: np.ndarray
     exp: np.ndarray
+
+    @functools.cached_property
+    def dlog(self) -> np.ndarray:
+        dlog = np.full(self.q, -1, dtype=np.int64)
+        dlog[self.exp] = np.arange(self.q - 1, dtype=np.int64)
+        dlog.flags.writeable = False
+        return dlog
 
 
 # ----------------------------------------------------------------------
 # integer and polynomial helpers
 # ----------------------------------------------------------------------
 
+# Miller-Rabin with the primes up to 41 as bases is exact below
+# 3,317,044,064,679,887,385,961,981 (Sorenson and Webster, Math. Comp. 86
+# (2017)); without 41 only below 3.2e23.  Past that it is a strong
+# probable-prime test, and the q cap refuses any such p anyway.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
-    return n >= 2 and _prime_factors(n) == [n]
+    """Miller-Rabin over _MR_BASES: 0.2 ms at 10^20, where trial division
+    took a second at 10^14."""
+    if n < 2:
+        return False
+    if n in _MR_BASES:
+        return True
+    if any(n % b == 0 for b in _MR_BASES):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -347,13 +386,28 @@ def _exp_table(p: int, k: int, gen: int, modulus: tuple[int, ...]) -> np.ndarray
     return exp
 
 
+def _power_text(p: int, k: int) -> str:
+    """p^k in decimal when Python prints an int that long (at most
+    sys.get_int_max_str_digits() digits, 4300 by default), else "p^k".
+    Since 10^d < 2^(4d), a bit length of at least 4d rules it out before
+    p^k is formed."""
+    digits = sys.get_int_max_str_digits() or 4300
+    if k * (p.bit_length() - 1) < 4 * digits:
+        q = p ** k
+        if q < 10 ** digits:
+            return str(q)
+    return f"{p}^{k}"
+
+
 def make_field(p: int, k: int = 1, modulus=None, max_q: int | None = None) -> FieldSpec:
-    """Build F_{p^k} with dlog/exp tables.
+    """Build F_{p^k} with its exp table (dlog follows on first read).
 
     Raises NotPrime for composite p, Reducible for a modulus that factors,
     Overflow when p^k exceeds the cap (default 2^20, overridable via the
     max_q argument) or when
     k * (p - 1)^2 > 2^53 - p, past which the float64 matrix steps could round.
+    p^k >= 2^(k (bitlen(p) - 1)), so a q far past the cap is refused from
+    bit lengths before p^k is formed.
     """
     if not isinstance(p, int) or not isinstance(k, int):
         raise BadParam("p and k must be integers")
@@ -361,10 +415,10 @@ def make_field(p: int, k: int = 1, modulus=None, max_q: int | None = None) -> Fi
         raise BadParam(f"k must be >= 1, got {k}")
     if not _is_prime(p):
         raise NotPrime(f"p = {p} is not prime")
-    q = p ** k
     cap = DESK_CAP if max_q is None else max_q
-    if q > cap:
-        raise Overflow(f"q = {q} exceeds the cap {cap}")
+    q = p ** k if k * (p.bit_length() - 1) < cap.bit_length() else None
+    if q is None or q > cap:
+        raise Overflow(f"q = {_power_text(p, k)} exceeds the cap {cap}")
 
     if modulus is not None:
         mod = tuple(int(c) for c in modulus)
@@ -386,11 +440,8 @@ def make_field(p: int, k: int = 1, modulus=None, max_q: int | None = None) -> Fi
     gen = _search_generator(p, k, q, mod)
 
     exp = _exp_table(p, k, gen, mod)
-    dlog = np.full(q, -1, dtype=np.int64)
-    dlog[exp] = np.arange(q - 1, dtype=np.int64)
-    dlog.flags.writeable = False
     exp.flags.writeable = False
-    return FieldSpec(p=p, k=k, q=q, modulus=mod, generator=gen, dlog=dlog, exp=exp)
+    return FieldSpec(p=p, k=k, q=q, modulus=mod, generator=gen, exp=exp)
 
 
 # ----------------------------------------------------------------------

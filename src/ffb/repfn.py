@@ -157,28 +157,41 @@ def complement_subset(field: FieldSpec, s: FqSubset) -> FqSubset:
 
 
 def negate_subset(field: FieldSpec, s: FqSubset) -> FqSubset:
-    """-S; S itself in characteristic 2, where -x = x."""
+    """-S; S itself in characteristic 2, where -x = x.  Over Z_p, -x = p - x
+    for x != 0, so -S's mask is S's with entries 1 .. p - 1 reversed."""
     if field.p == 2:
         return s
-    mask = np.zeros(field.q, dtype=bool)
-    mask[neg_codes(field, s.codes())] = True
+    if field.k == 1:
+        mask = np.empty(field.q, dtype=bool)
+        mask[0] = s.membership[0]
+        mask[1:] = s.membership[:0:-1]
+    else:
+        mask = np.zeros(field.q, dtype=bool)
+        mask[neg_codes(field, s.codes())] = True
     return FqSubset.from_mask(mask)
 
 
 def shift_repfn(field: FieldSpec, r: RepFn, lam: int) -> RepFn:
-    """s[y] = r[y + lam]: r translated so that lam sits at zero."""
+    """s[y] = r[y + lam]: r translated so that lam sits at zero; over Z_p a
+    rotation of r by lam."""
     if not lam:
         return r
-    counts = r.counts[add_codes(field, lam, np.arange(field.q))]
+    if field.k == 1:
+        counts = np.roll(r.counts, -lam)
+    else:
+        counts = r.counts[add_codes(field, lam, np.arange(field.q))]
     counts.flags.writeable = False
     return RepFn(counts=counts)
 
 
 def inverse_subset(field: FieldSpec, s: FqSubset) -> FqSubset:
-    """{x^(-1) : x in S, x != 0}; zero has no inverse and is dropped."""
-    t = field.dlog[s.codes()]
+    """{x^(-1) : x in S, x != 0}; zero has no inverse and is dropped.
+
+    In dlog order x = exp[t] has inverse exp[-t mod (q - 1)], so S's
+    weights along exp, reflected and rotated by one, are the inverses'.
+    """
     mask = np.zeros(field.q, dtype=bool)
-    mask[field.exp[-t[t >= 0] % (field.q - 1)]] = True
+    mask[field.exp] = np.roll(s.membership[field.exp][::-1], 1)
     return FqSubset.from_mask(mask)
 
 

@@ -200,9 +200,11 @@ def realize(field: FieldSpec, spec: SetSpec, seed: int = 0) -> FqSubset:
             raise BadParam(f"progression: negative length {length}")
         if not (0 <= start < field.q) or not (0 <= step < field.q):
             raise BadParam("progression: start and step must be element codes")
+        # every nonzero element of (F_q, +) has order p, so past its first p
+        # terms a progression repeats itself
         codes = []
         cur = start
-        for _ in range(length):
+        for _ in range(min(length, field.p)):
             codes.append(cur)
             cur = field_add(field, cur, step)
         return subset_from_codes(field, codes)

@@ -1,6 +1,5 @@
 """Front-end behavior: records, formats, exit codes, scan and script modes."""
 
-import argparse
 import concurrent.futures
 import csv
 import functools
@@ -9,7 +8,9 @@ import math
 import multiprocessing
 import subprocess
 import sys
+import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -232,11 +233,35 @@ def test_unparsable_numbers_exit_2_naming_the_input(capsys):
         "ffb: BadParam: random: expected comma-separated integers, got 'abc'\n"
 
 
+PARSE_PATHS = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "parse_paths.json").read_text())
+
+
+@pytest.mark.parametrize("name", PARSE_PATHS)
+def test_parse_paths_byte_for_byte(capsys, monkeypatch, name):
+    # exit code, stdout and stderr of each argv as first recorded, help and
+    # usage lines wrapped at 80 columns: no argv, help, missing and bad
+    # flags, abbreviations, "--", --script after the op, unknown ops
+    case = PARSE_PATHS[name]
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(list(case["argv"])) == case["code"]
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (case["stdout"], case["stderr"])
+
+
+def test_oversize_field_input_exits_2_at_once(capsys):
+    for p, k, q in (("13", "5000", "13^5000"), ("99999999999999999989", "1",
+                                                   "99999999999999999989")):
+        start = time.perf_counter()
+        assert run(COUNT_ARGS[:1] + ["--p", p, "--k", k] + COUNT_ARGS[3:]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == f"ffb: Overflow: q = {q} exceeds the cap 1048576\n"
+
+
 def op_parsers():
     """(op, the parser of ffb op, the parser of ffb scan --op op) for every op."""
-    (sub,) = [a for a in ffb.cli._build_parser()._actions
-              if isinstance(a, argparse._SubParsersAction)]
-    return [(op, sub.choices[op], ffb.cli._scan_parser(op)) for op in ffb.cli.OPS]
+    ops = ffb.cli._parsers()[1]
+    return [(op, ops[op], ffb.cli._scan_parser(op)) for op in ffb.cli.OPS]
 
 
 def test_scan_takes_exactly_the_flags_of_its_op():
@@ -458,18 +483,21 @@ def test_a_pair_named_twice_builds_its_product_once(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("p, q", [("13", 13), ("3 --k 2", 9)])
 def test_count_sweep_shifts_once_per_lambda(capsys, monkeypatch, tmp_path, p, q):
-    # lam enters through one permutation of r_AB per lam, shared by both
-    # routes; -C is built once per instance
-    calls = count_calls_everywhere(monkeypatch, ("add_codes", "neg_codes"), tmp_path / "log")
+    # lam enters through one shift of r_AB per lam, shared by both routes:
+    # over Z_13 a rotation, over F_9 its one length-q add_codes gather, and
+    # no other length-q permutation; -C is built once per instance
+    calls = count_calls_everywhere(monkeypatch, ("shift_repfn", "add_codes", "negate_subset"),
+                                   tmp_path / "log")
     argv = ["count", "--p", *p.split(), "--a", "random:5", "--b", "random:4",
             "--c", "random:6", "--d", "random:3", "--no-timing"]
     code, recs, _ = run_json(capsys, argv + ["--lambda", "all"])
     assert code == 0 and all(rec["n"] == rec["n_charform"] for rec in recs)
     swept = calls()
-    assert swept["add_codes"] == len(recs) == q - 1
+    assert swept["shift_repfn"] == len(recs) == q - 1
+    assert swept["add_codes"] == (0 if q == 13 else q - 1)
     code, _, _ = run_json(capsys, argv + ["--lambda", "1"])
     assert code == 0
-    assert calls()["neg_codes"] == swept["neg_codes"] > 0
+    assert calls()["negate_subset"] == swept["negate_subset"] == 1
 
 
 def test_characteristic_two_negates_nothing(capsys, monkeypatch, tmp_path):
@@ -483,8 +511,9 @@ def test_characteristic_two_negates_nothing(capsys, monkeypatch, tmp_path):
 
 
 def test_negation_is_a_set_name(capsys, monkeypatch, tmp_path):
-    # count negates C as a set, never r_CD as a length-q permutation; det2's
-    # --b and every -x in characteristic 2 name the set itself
+    # count negates C as a set once, never r_CD as a length-q permutation
+    # (over Z_13 by a reflection, no neg_codes at all); det2's --b and every
+    # -x in characteristic 2 name the set itself
     sizes = []
     neg_codes = ffb.repfn.neg_codes
     monkeypatch.setattr(ffb.repfn, "neg_codes",
@@ -494,13 +523,28 @@ def test_negation_is_a_set_name(capsys, monkeypatch, tmp_path):
     for p, q in (("13", 13), ("3 --k 2", 9)):
         code, recs, _ = run_json(capsys, ["count", "--p", *p.split(), *sets, "--lambda", "all"])
         assert code == 0 and all(rec["n"] == rec["n_charform"] for rec in recs)
-        assert sizes and q not in sizes
+        assert q not in sizes and bool(sizes) == (q == 9)
+        assert negations() == {"negate_subset": 1}
         sizes.clear()
-    negations()
     for argv in (["det2", "--p", "13"], ["count", "--p", "2", "--k", "6"]):
         code, recs, _ = run_json(capsys, [*argv, *sets, "--lambda", "all"])
         assert code == 0 and recs
         assert negations() == {}
+
+
+@pytest.mark.parametrize("field", ["--p 8191", "--p 2 --k 12"])
+def test_no_command_builds_dlog(capsys, monkeypatch, field):
+    fields = []
+    make = ffb.cli.make_field
+    monkeypatch.setattr(ffb.cli, "make_field", lambda **kw: fields.append(make(**kw)) or fields[-1])
+    abcd = ["--a", "random:20", "--b", "random:20", "--c", "random:20", "--d", "random:20"]
+    for argv in (["count", *abcd, "--lambda", "5"], ["bounds", *abcd, "--lambda", "5"],
+                 ["solvability", *abcd, "--lambda", "5"],
+                 ["sumprod", "--x", "random:20", "--y", "random:20"],
+                 ["exceptional", "--f", "random:5", "--g", "random:20", "--h", "random:20"]):
+        code, recs, _ = run_json(capsys, [*argv, *field.split(), "--no-timing"])
+        assert code == 0 and len(recs) == 1
+        assert "dlog" not in vars(fields.pop()), argv[0]
 
 
 def test_countn_guards_each_entry_not_the_mass(capsys):

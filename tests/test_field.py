@@ -2,6 +2,7 @@
 
 import functools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -97,6 +98,46 @@ def test_q_cap_default_and_overrides():
     with pytest.raises(Overflow):
         make_field(17, max_q=16)
     assert make_field(17, max_q=17).q == 17
+
+
+def test_oversize_input_is_refused_before_it_is_formed():
+    # from bit lengths, before p^k; primality by Miller-Rabin, not trial division
+    start = time.perf_counter()
+    with pytest.raises(Overflow, match=r"^q = 13\^5000 exceeds the cap 1048576$"):
+        make_field(13, 5000)
+    with pytest.raises(Overflow, match=r"^q = 2\^1000000000000 exceeds the cap 1048576$"):
+        make_field(2, 10 ** 12)
+    for p in (100000000000031, 99999999999999999989):
+        with pytest.raises(Overflow, match=f"^q = {p} exceeds the cap 1048576$"):
+            make_field(p)
+    with pytest.raises(NotPrime, match="^p = 998244359987710471 is not prime$"):
+        make_field(1000000007 * 998244353)
+    assert time.perf_counter() - start < 1
+    # a q Python can print is printed in full, as before
+    with pytest.raises(Overflow, match=f"^q = {13 ** 3000} exceeds the cap 1048576$"):
+        make_field(13, 3000)
+    with pytest.raises(Overflow, match="^q = 137858491849 exceeds the cap 16$"):
+        make_field(13, 10, max_q=16)
+
+
+def test_miller_rabin_matches_trial_division():
+    assert [n for n in range(-2, 20000) if _is_prime(n)] == [
+        n for n in range(2, 20000) if _prime_factors(n) == [n]]
+    # strong pseudoprimes to the primes up to 7, 23 and 37; Mersenne primes
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n)
+    for e in (31, 61, 89):
+        assert _is_prime(2 ** e - 1)
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 4), (8191, 1)])
+def test_dlog_is_built_from_exp_on_first_read(p, k):
+    f = make_field(p, k)
+    assert "dlog" not in vars(f)
+    eager = np.full(f.q, -1, dtype=np.int64)
+    eager[f.exp] = np.arange(f.q - 1)
+    assert f.dlog.dtype == np.int64 and f.dlog.tobytes() == eager.tobytes()
+    assert f.dlog is f.dlog and not f.dlog.flags.writeable
 
 
 def test_q_cap_reads_no_environment(monkeypatch):

@@ -9,10 +9,19 @@ import ffb.repfn
 
 from ffb.counters import additive_count, count_bilinear
 from ffb.errors import BadParam, IntegerOverflow
-from ffb.field import field_add, field_inv, field_mul, field_neg, make_field
+from ffb.field import (
+    add_codes,
+    field_add,
+    field_inv,
+    field_mul,
+    field_neg,
+    make_field,
+    neg_codes,
+)
 from ffb.instance import Instance
 from ffb.repfn import (
     ROUND_BUDGET,
+    FqSubset,
     RepFn,
     _add_convolve,
     _cyclic_convolve,
@@ -35,6 +44,7 @@ from ffb.repfn import (
     shift_repfn,
     subset_from_codes,
 )
+from ffb.selfcheck import GRID_SHAPES
 from ffb.setsgen import SetSpec, derive_seed, realize, stream_value
 
 
@@ -224,6 +234,45 @@ def test_inverse_subset(f7, f16):
         s = seeded_subset(field, 12, lo=0)
         expect = sorted({field_inv(field, int(x)) for x in s.codes() if x})
         assert inverse_subset(field, s).codes().tolist() == expect
+
+
+def test_inverse_subset_matches_the_dlog_oracle():
+    # the reflection of S along exp against x = exp[t] -> exp[-t mod (q - 1)]
+    for p, k in sorted(set(GRID_SHAPES) | {(3, 2), (2, 4), (5, 2)}):
+        field = make_field(p, k)
+        rng = np.random.default_rng(p * 100 + k)
+        masks = [np.zeros(field.q, dtype=bool), np.ones(field.q, dtype=bool)]
+        masks += [rng.random(field.q) < frac for frac in (0.2, 0.5, 0.8)]
+        for mask in masks:
+            s = FqSubset.from_mask(mask)
+            t = field.dlog[s.codes()]
+            expect = np.zeros(field.q, dtype=bool)
+            expect[field.exp[-t[t >= 0] % (field.q - 1)]] = True
+            assert inverse_subset(field, s).membership.tolist() == expect.tolist(), (p, k)
+
+
+@pytest.mark.parametrize("q, lams", [(2, None), (3, None), (5, None), (13, None),
+                                     (101, None), (1048573, (1, 2, 524287, 1048572))])
+def test_prime_field_shift_and_negation_match_the_gathers(q, lams):
+    # over Z_p the shift of r is a rotation and -S a reflection; each equals
+    # the add_codes gather and the neg_codes scatter over every code
+    field = make_field(q)
+    rng = np.random.default_rng(q)
+    counts = rng.integers(0, 9, q)
+    counts.flags.writeable = False
+    r = RepFn(counts=counts)
+    codes = np.arange(q)
+    for lam in range(q) if lams is None else lams:
+        shifted = shift_repfn(field, r, lam).counts
+        assert np.array_equal(shifted, counts[add_codes(field, lam, codes)]), lam
+        assert not shifted.flags.writeable
+    for mask in (rng.random(q) < 0.3, rng.random(q) < 0.7, np.eye(1, q, 0, dtype=bool)[0]):
+        for zero in (False, True):
+            mask[0] = zero
+            s = FqSubset.from_mask(mask.copy())
+            expect = np.zeros(q, dtype=bool)
+            expect[neg_codes(field, s.codes())] = True
+            assert np.array_equal(negate_subset(field, s).membership, expect)
 
 
 def test_additive_convolve_overflow_guard(f5):

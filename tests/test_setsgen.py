@@ -95,6 +95,17 @@ def test_progression(f7):
         realize(f7, parse_setspec("progression:1,1,-2"))
 
 
+def test_progression_takes_at_most_p_terms(f13, f9):
+    # a step of additive order p repeats after p terms: a length far past p
+    # names the set of length p, and the spec keeps its text
+    for field, text, full in ((f13, "progression:1,2,{}", 13), (f9, "progression:1,4,{}", 3)):
+        huge = text.format(10 ** 20 - 1)
+        assert parse_setspec(huge).text() == huge
+        assert codes(field, huge) == codes(field, text.format(full))
+        assert len(codes(field, huge)) == field.p
+    assert codes(f13, "progression:5,0,99999999999999999999") == [5]
+
+
 def test_prefixes(f5):
     assert codes(f5, "-explicit:1,2") == [3, 4]
     assert codes(f5, "~interval:0..2") == [3, 4]
